@@ -131,6 +131,73 @@ func TestGenerationAllocBudget(t *testing.T) {
 	}
 }
 
+// TestGenerationExtrasAllocFree pins FIC D generation — the campaign that
+// attaches 1-5 random extras per intent — at zero steady-state allocations
+// per intent: extras live in the pooled bundle's slices and random strings
+// in its reusable text buffer, so no value is boxed and no string
+// allocated.
+func TestGenerationExtrasAllocFree(t *testing.T) {
+	target := intent.ComponentName{Package: "com.bench", Class: "com.bench.ui.Main"}
+	cfg := core.GeneratorConfig{Seed: 1}
+	n := core.CampaignD.CountPerComponent(cfg)
+	extras := 0
+	core.CampaignD.Generate(target, cfg, core.QGJUID, func(in *intent.Intent) { extras += in.Extras.Len() })
+	if extras < n {
+		t.Fatalf("campaign D attached %d extras to %d intents, want at least one each", extras, n)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		core.CampaignD.Generate(target, cfg, core.QGJUID, func(in *intent.Intent) {})
+	})
+	// Same budget as campaign A: the per-stream RNG split spread over the
+	// stream, nothing per intent or per extra.
+	if perIntent := allocs / float64(n); perIntent > 0.05 {
+		t.Fatalf("campaign D generation allocates %.4f objects/intent (%.0f per stream of %d), want ~0",
+			perIntent, allocs, n)
+	}
+}
+
+// TestDeniedDispatchAllocFree pins the two SecurityException denials a
+// campaign hits most — a protected action, and a component that is not
+// exported — at zero steady-state allocations: the denial line is rendered
+// once into the target's gate cache and then logged as a lazy entry.
+func TestDeniedDispatchAllocFree(t *testing.T) {
+	dev := wearos.New(wearos.DefaultWatchConfig())
+	pkg := &manifest.Package{
+		Name: "com.bench", Category: manifest.NotHealthFitness, Origin: manifest.ThirdParty,
+		Components: []*manifest.Component{
+			{Name: intent.ComponentName{Package: "com.bench", Class: "com.bench.ui.Main"},
+				Type: manifest.Activity, Exported: true},
+			{Name: intent.ComponentName{Package: "com.bench", Class: "com.bench.Hidden"},
+				Type: manifest.Activity},
+		},
+	}
+	if err := dev.InstallPackage(pkg); err != nil {
+		t.Fatal(err)
+	}
+	dev.SetFlightRecorder(telemetry.NewRecorder(0))
+	for _, tc := range []struct {
+		name   string
+		target intent.ComponentName
+		action string
+	}{
+		{"protected-action", pkg.Components[0].Name, "android.intent.action.BATTERY_LOW"},
+		{"not-exported", pkg.Components[1].Name, "android.intent.action.VIEW"},
+	} {
+		in := &intent.Intent{Action: tc.action, Component: tc.target, SenderUID: core.QGJUID}
+		for i := 0; i < 64; i++ {
+			if res := dev.StartActivity(in); res != wearos.BlockedSecurity {
+				t.Fatalf("%s: delivery = %v, want BlockedSecurity", tc.name, res)
+			}
+		}
+		allocs := testing.AllocsPerRun(2000, func() {
+			dev.StartActivity(in)
+		})
+		if allocs > 0.1 {
+			t.Fatalf("%s denial allocates %.3f objects/op, want ~0", tc.name, allocs)
+		}
+	}
+}
+
 // TestCampaignSweepAllocBudget bounds a full instrumented FuzzApp sweep —
 // generation, dispatch, logging, telemetry, pacing — against the budget the
 // perf pass established (~1 alloc per injected intent, dominated by the

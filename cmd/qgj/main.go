@@ -38,6 +38,7 @@ import (
 	"repro/internal/farm"
 	"repro/internal/service"
 	"repro/internal/telemetry"
+	"repro/internal/wearos"
 )
 
 func main() {
@@ -183,6 +184,7 @@ func run(args []string) error {
 		// would let a mis-scoped CI invocation pass silently.
 		return fmt.Errorf("campaign recorded zero injections against %s — no fuzzable components matched", *app)
 	}
+	fmt.Println(wearos.DroppedSummary(watch.OS.Logcat().Dropped()))
 
 	if *logDump {
 		fmt.Print(watch.OS.Logcat().Dump())
@@ -310,6 +312,7 @@ func runFarm(sharding core.Sharding, seed uint64, app, campaign string, all bool
 			cr.Report.SecurityEvents, len(cr.Report.RebootTimes))
 	}
 	fmt.Printf("farm: %d shards, %d workers, %d intents\n", res.Shards, res.Workers, res.Sent)
+	fmt.Println(wearos.DroppedSummary(res.LogDropped))
 	if res.Triage != nil {
 		faults := ""
 		if res.Triage.Faults > 0 {

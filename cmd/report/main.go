@@ -22,6 +22,7 @@ import (
 	"repro/internal/farm"
 	"repro/internal/report"
 	"repro/internal/telemetry"
+	"repro/internal/wearos"
 )
 
 func main() {
@@ -122,8 +123,9 @@ func run(args []string) error {
 		if err != nil {
 			return fmt.Errorf("wear study: %w", err)
 		}
-		fmt.Printf("[wear study: %d intents, %d reboots, %v]\n\n",
-			wear.Sent, wear.Reboots(), time.Since(start).Round(time.Millisecond))
+		fmt.Printf("[wear study: %d intents, %d reboots, %v]\n[%s]\n\n",
+			wear.Sent, wear.Reboots(), time.Since(start).Round(time.Millisecond),
+			wearos.DroppedSummary(wear.LogDropped))
 		if wear.Triage != nil {
 			fmt.Printf("[wear triage: %d unique failure signatures / %d raw crashes / %d ANRs]\n\n",
 				wear.Triage.Unique(), wear.Triage.Crashes-wear.Triage.ANRs-wear.Triage.Faults,
@@ -164,8 +166,9 @@ func run(args []string) error {
 		if err != nil {
 			return fmt.Errorf("phone study: %w", err)
 		}
-		fmt.Printf("[phone study: %d intents, %v]\n\n",
-			phone.Sent, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("[phone study: %d intents, %v]\n[%s]\n\n",
+			phone.Sent, time.Since(start).Round(time.Millisecond),
+			wearos.DroppedSummary(phone.LogDropped))
 		rows, others, total := experiments.TableIV(phone)
 		fmt.Println(report.TableIV(rows, others, total))
 	}

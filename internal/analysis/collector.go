@@ -211,6 +211,12 @@ type Collector struct {
 	blameComp   intent.ComponentName
 	hasBlame    bool
 
+	// lastName/lastReport memoise the most recent component lookup: a
+	// campaign logs thousands of lines in a row about the one component
+	// under fuzz.
+	lastName   intent.ComponentName
+	lastReport *ComponentReport
+
 	// Telemetry (nil = no-op). The counters mirror the Report event tallies;
 	// the manifest gauges track every component's current most-severe
 	// manifestation so a concurrent scrape always matches what Report()
@@ -230,7 +236,7 @@ type anrMark struct {
 	comp intent.ComponentName
 }
 
-var _ logcat.Sink = (*Collector)(nil)
+var _ logcat.EntrySink = (*Collector)(nil)
 
 // NewCollector returns an empty streaming analyzer.
 func NewCollector() *Collector {
@@ -293,8 +299,8 @@ func (c *Collector) Report() *Report { return c.report }
 
 // ConsumeAll feeds a slice of entries (a pulled logcat dump) in order.
 func (c *Collector) ConsumeAll(entries []logcat.Entry) {
-	for _, e := range entries {
-		c.Consume(e)
+	for i := range entries {
+		c.consume(&entries[i])
 	}
 }
 
@@ -306,8 +312,25 @@ func AnalyzeEntries(entries []logcat.Entry) *Report {
 }
 
 // Consume implements logcat.Sink: one log entry at a time, in order.
-func (c *Collector) Consume(e logcat.Entry) {
-	defer telemetry.Time(c.consumeSeconds)()
+func (c *Collector) Consume(e logcat.Entry) { c.consume(&e) }
+
+// ConsumeEntry implements logcat.EntrySink: Consume without the copy.
+func (c *Collector) ConsumeEntry(e *logcat.Entry) { c.consume(e) }
+
+// component returns the report of cn, creating it on first sight.
+func (c *Collector) component(cn intent.ComponentName) *ComponentReport {
+	if c.lastReport != nil && cn == c.lastName {
+		return c.lastReport
+	}
+	cr := c.report.component(cn)
+	c.lastName, c.lastReport = cn, cr
+	return cr
+}
+
+func (c *Collector) consume(e *logcat.Entry) {
+	if c.consumeSeconds != nil {
+		defer telemetry.Time(c.consumeSeconds)()
+	}
 	c.report.Entries++
 	c.entriesTotal.Inc()
 	if e.Payload.Op != logcat.MsgEager {
@@ -336,20 +359,28 @@ func (c *Collector) Consume(e logcat.Entry) {
 // would conclude from the rendered line (pinned by the dump-equivalence
 // tests); entries the eager path ignores — dispatch announcements — are
 // ignored here too.
-func (c *Collector) consumeLazy(e logcat.Entry) {
+func (c *Collector) consumeLazy(e *logcat.Entry) {
 	p := &e.Payload
 	switch p.Op {
 	case logcat.MsgDelivering:
 		cn := p.Comp
-		c.pidComp[p.PID] = cn
-		cr := c.report.component(cn)
+		c.pidComp[int(p.PID)] = cn
+		cr := c.component(cn)
 		cr.Type = p.Verb
 		cr.Deliveries++
 		c.syncManifest(cn)
 
+	case logcat.MsgDenied:
+		// The dispatcher resolved the charged component with the same
+		// DenialTarget parse the eager path applies to the text; a zero
+		// component is a line the eager path skips too.
+		if !p.Comp.IsZero() {
+			c.countSecurity(p.Comp)
+		}
+
 	case logcat.MsgRejected:
-		if class, _, ok := javalang.ParseHeader(p.Err); ok {
-			c.report.component(p.Comp).Rejected[class]++
+		if class, _, ok := javalang.ParseHeader(p.Text); ok {
+			c.component(p.Comp).Rejected[class]++
 			c.syncManifest(p.Comp)
 		}
 
@@ -358,14 +389,22 @@ func (c *Collector) consumeLazy(e logcat.Entry) {
 		if !ok {
 			return
 		}
-		if class, _, ok := javalang.ParseHeader(p.Err); ok {
-			c.report.component(cn).Caught[class]++
+		if class, _, ok := javalang.ParseHeader(p.Text); ok {
+			c.component(cn).Caught[class]++
 			c.syncManifest(cn)
 		}
 	}
 }
 
-func (c *Collector) consumeAM(e logcat.Entry) {
+// countSecurity charges one SecurityException denial to cn.
+func (c *Collector) countSecurity(cn intent.ComponentName) {
+	c.component(cn).Security++
+	c.report.SecurityEvents++
+	c.securityTotal.Inc()
+	c.syncManifest(cn)
+}
+
+func (c *Collector) consumeAM(e *logcat.Entry) {
 	msg := e.Message
 	switch {
 	case strings.HasPrefix(msg, "Delivering to "):
@@ -388,21 +427,15 @@ func (c *Collector) consumeAM(e logcat.Entry) {
 			return
 		}
 		c.pidComp[pid] = cn
-		cr := c.report.component(cn)
+		cr := c.component(cn)
 		cr.Type = kind
 		cr.Deliveries++
 		c.syncManifest(cn)
 
 	case strings.Contains(msg, "java.lang.SecurityException") && strings.Contains(msg, " targeting "):
-		flat := msg[strings.LastIndex(msg, " targeting ")+len(" targeting "):]
-		cn, ok := intent.UnflattenComponent(strings.TrimSpace(flat))
-		if !ok {
-			return
+		if cn, ok := logcat.DenialTarget(msg); ok {
+			c.countSecurity(cn)
 		}
-		c.report.component(cn).Security++
-		c.report.SecurityEvents++
-		c.securityTotal.Inc()
-		c.syncManifest(cn)
 
 	case strings.HasPrefix(msg, "Exception thrown delivering intent to cmp="):
 		rest := strings.TrimPrefix(msg, "Exception thrown delivering intent to cmp=")
@@ -415,7 +448,7 @@ func (c *Collector) consumeAM(e logcat.Entry) {
 			return
 		}
 		if class, _, ok := javalang.ParseHeader(header); ok {
-			c.report.component(cn).Rejected[class]++
+			c.component(cn).Rejected[class]++
 			c.syncManifest(cn)
 		}
 
@@ -431,7 +464,7 @@ func (c *Collector) consumeAM(e logcat.Entry) {
 		if !ok {
 			return
 		}
-		cr := c.report.component(cn)
+		cr := c.component(cn)
 		cr.ANRs++
 		c.report.ANREvents++
 		c.anrTotal.Inc()
@@ -457,7 +490,7 @@ func (c *Collector) consumeAM(e logcat.Entry) {
 		// Temporal-chain root cause: the deepest "Caused by" is the first
 		// exception raised, so it takes the blame (Section IV-A).
 		root := blk.headers[len(blk.headers)-1]
-		cr := c.report.component(cn)
+		cr := c.component(cn)
 		cr.CrashRoots[root]++
 		c.report.CrashEvents++
 		c.crashTotal.Inc()
@@ -483,7 +516,7 @@ func parseDiedPID(msg string) int {
 	return pid
 }
 
-func (c *Collector) consumeRuntime(e logcat.Entry) {
+func (c *Collector) consumeRuntime(e *logcat.Entry) {
 	msg := e.Message
 	if msg == "FATAL EXCEPTION: main" {
 		c.crashParse[e.PID] = &crashBlock{}
@@ -501,7 +534,7 @@ func (c *Collector) consumeRuntime(e logcat.Entry) {
 	}
 }
 
-func (c *Collector) consumeNative(e logcat.Entry) {
+func (c *Collector) consumeNative(e *logcat.Entry) {
 	msg := e.Message
 	if !strings.HasPrefix(msg, "Fatal signal ") {
 		return
@@ -525,7 +558,7 @@ func signalOf(msg string) string {
 	return "SIG?"
 }
 
-func (c *Collector) consumeWatchdog(e logcat.Entry) {
+func (c *Collector) consumeWatchdog(e *logcat.Entry) {
 	// "Blocked in handler on sensor thread (client <proc> unresponsive);
 	// sending SIGABRT to sensorservice" — the first escalation anchor.
 	msg := e.Message
@@ -541,7 +574,7 @@ func (c *Collector) consumeWatchdog(e logcat.Entry) {
 	c.blameProc, c.blameProcAt, c.hasBlame = proc, e.Time, true
 }
 
-func (c *Collector) consumeSystemServer(e logcat.Entry) {
+func (c *Collector) consumeSystemServer(e *logcat.Entry) {
 	msg := e.Message
 	if strings.HasPrefix(msg, "unable to bind AmbientService for ") {
 		// The second escalation anchor names the failing component.
@@ -585,7 +618,7 @@ func (c *Collector) attributeReboot(at time.Time) {
 		}
 	}
 	if !blameComp.IsZero() {
-		c.report.component(blameComp).RebootInvolved = true
+		c.component(blameComp).RebootInvolved = true
 		c.syncManifest(blameComp)
 		return
 	}
@@ -596,14 +629,14 @@ func (c *Collector) attributeReboot(at time.Time) {
 		if blameProc != "" && f.comp.Package != blameProc {
 			continue
 		}
-		c.report.component(f.comp).RebootInvolved = true
+		c.component(f.comp).RebootInvolved = true
 		c.syncManifest(f.comp)
 	}
 }
 
 // consumeApp handles entries whose tag is an app process name: caught
 // exceptions and ANR-adjacent traces.
-func (c *Collector) consumeApp(e logcat.Entry) {
+func (c *Collector) consumeApp(e *logcat.Entry) {
 	msg := e.Message
 	if strings.HasPrefix(msg, "caught exception while handling intent: ") {
 		header := strings.TrimPrefix(msg, "caught exception while handling intent: ")
@@ -612,7 +645,7 @@ func (c *Collector) consumeApp(e logcat.Entry) {
 			return
 		}
 		if class, _, ok := javalang.ParseHeader(header); ok {
-			c.report.component(cn).Caught[class]++
+			c.component(cn).Caught[class]++
 			c.syncManifest(cn)
 		}
 		return
@@ -622,7 +655,7 @@ func (c *Collector) consumeApp(e logcat.Entry) {
 	// hinting at garbage collection, Section IV-A).
 	if mark, ok := c.lastANR[e.Tag]; ok && e.Time.Sub(mark.at) <= anrTraceWindow {
 		if class, _, ok := javalang.ParseHeader(msg); ok {
-			c.report.component(mark.comp).ANRClasses[class]++
+			c.component(mark.comp).ANRClasses[class]++
 		}
 	}
 }

@@ -101,24 +101,20 @@ func AnalyzeIntent(in *intent.Intent) DefectKind {
 	// Extras are inspected first: unmarshalling the bundle happens before
 	// the component looks at action/data, and a poisoned bundle trips
 	// getExtra() calls immediately.
-	if in.Extras.Len() > 0 {
+	if n := in.Extras.Len(); n > 0 {
 		if in.Extras.HasNull() {
 			return KindNullExtra
 		}
-		unexpected := false
-		for _, k := range in.Extras.Keys() {
-			if !extraKeyExpected(k) {
-				unexpected = true
-				break
+		for i := 0; i < n; i++ {
+			if !extraKeyExpected(in.Extras.KeyAt(i)) {
+				return KindRandomExtras
 			}
-		}
-		if unexpected {
-			return KindRandomExtras
 		}
 	}
 	hasAction := in.Action != ""
 	hasData := !in.Data.IsZero()
-	if hasAction && !intent.KnownAction(in.Action) {
+	act := in.ActionInfo()
+	if hasAction && !act.Known() {
 		return KindRandomAction
 	}
 	if hasData && !intent.KnownScheme(in.Data.Scheme) {
@@ -128,12 +124,12 @@ func AnalyzeIntent(in *intent.Intent) DefectKind {
 		return KindMissingAction
 	}
 	if !hasData {
-		if intent.ActionExpectsData(in.Action) {
+		if act.ExpectsData() {
 			return KindMissingData
 		}
 		return KindNone // action legitimately takes no data
 	}
-	if !intent.ActionAcceptsScheme(in.Action, in.Data.Scheme) {
+	if !act.AcceptsScheme(in.Data.Scheme) {
 		return KindMismatch
 	}
 	return KindNone

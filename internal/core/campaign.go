@@ -282,18 +282,22 @@ func (c Campaign) Generate(target intent.ComponentName, cfg GeneratorConfig, sen
 	case CampaignD:
 		// Valid {Action, Data} pair plus 1-5 random extras.
 		for _, a := range actions {
+			s, hasData := validSchemeFor(a, schemes)
 			for v := 0; v < cfg.ExtrasVariants; v++ {
 				in := base()
 				in.Action = a
-				if s, ok := validSchemeFor(a, schemes); ok {
+				if hasData {
 					in.Data = intent.SampleData(s)
+				}
+				if in.Extras == nil {
+					in.Extras = intent.NewBundle()
 				}
 				nExtras := r.IntBetween(1, 5)
 				for e := 0; e < nExtras; e++ {
 					// Same RNG consumption as rng.Pick(r, fuzzExtraKeys),
 					// but the numbered key comes from the precomputed table.
 					ki := r.Intn(len(fuzzExtraKeys))
-					in.PutExtra(fuzzExtraKeyNumbered[ki][e], randomExtraValue(r))
+					putRandomExtra(in.Extras, fuzzExtraKeyNumbered[ki][e], r)
 				}
 				emit(in)
 			}
@@ -329,8 +333,8 @@ func randomURI(r *rng.Source) intent.URI {
 
 func randomSchemeToken(r *rng.Source) string {
 	const letters = "abcdefghijklmnopqrstuvwxyz"
-	n := r.IntBetween(2, 8)
-	b := make([]byte, n)
+	var buf [8]byte
+	b := buf[:r.IntBetween(2, 8)]
 	for i := range b {
 		b[i] = letters[r.Intn(len(letters))]
 	}
@@ -343,27 +347,31 @@ func randomSchemeToken(r *rng.Source) string {
 // validSchemeFor picks a scheme the action legitimately accepts, preferring
 // the catalog order for determinism. ok is false for data-less actions.
 func validSchemeFor(action string, schemes []string) (string, bool) {
+	info := intent.LookupAction(action)
 	for _, s := range schemes {
-		if intent.ActionAcceptsScheme(action, s) {
+		if info.AcceptsScheme(s) {
 			return s, true
 		}
 	}
 	return "", false
 }
 
-// randomExtraValue draws a random typed extra; roughly a quarter are
-// explicit nulls, the classic NPE trigger.
-func randomExtraValue(r *rng.Source) intent.Value {
+// putRandomExtra draws a random typed extra into b; roughly a quarter are
+// explicit nulls, the classic NPE trigger. Random strings go through the
+// bundle's reusable text buffer, so steady-state generation allocates
+// nothing.
+func putRandomExtra(b *intent.Bundle, key string, r *rng.Source) {
 	switch r.Intn(8) {
 	case 0, 1:
-		return intent.NullValue()
+		b.Put(key, intent.NullValue())
 	case 2, 3, 4:
-		return intent.StringValue(r.ASCII(1, 24))
+		var buf [24]byte
+		b.PutText(key, r.AppendASCII(buf[:0], 1, 24))
 	case 5:
-		return intent.IntValue(int64(r.Uint64()))
+		b.Put(key, intent.IntValue(int64(r.Uint64())))
 	case 6:
-		return intent.FloatValue(r.NormFloat64() * 1e4)
+		b.Put(key, intent.FloatValue(r.NormFloat64()*1e4))
 	default:
-		return intent.BoolValue(r.Bool(0.5))
+		b.Put(key, intent.BoolValue(r.Bool(0.5)))
 	}
 }

@@ -35,10 +35,11 @@ func runFarmStudy(kind apps.FleetKind, opts Options) (*StudyResult, error) {
 		return nil, err
 	}
 	sr := &StudyResult{
-		Fleet:    fres.Fleet,
-		Combined: fres.Combined,
-		Sent:     fres.Sent,
-		Triage:   fres.Triage,
+		Fleet:      fres.Fleet,
+		Combined:   fres.Combined,
+		Sent:       fres.Sent,
+		Triage:     fres.Triage,
+		LogDropped: fres.LogDropped,
 		Sharding: &ShardingInfo{
 			Workers:    fres.Workers,
 			Shards:     fres.Shards,

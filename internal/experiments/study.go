@@ -70,6 +70,10 @@ type StudyResult struct {
 	Triage *triage.Result
 	// Sharding describes how a farm run executed; nil for serial runs.
 	Sharding *ShardingInfo
+	// LogDropped counts the lines full logcat rings evicted during the
+	// study (see farm.Result.LogDropped). The analyzers consumed every
+	// line as it was logged; only readers of the retained ring miss them.
+	LogDropped uint64
 }
 
 // ShardingInfo records how a farm-backed study was executed.
@@ -183,6 +187,7 @@ func runStudy(fleet *apps.Fleet, dev *wearos.OS, opts Options) (*StudyResult, er
 		result.Combined.Merge(outcome.Report)
 		result.Sent += outcome.Sent
 	}
+	result.LogDropped = dev.Logcat().Dropped()
 	return result, nil
 }
 

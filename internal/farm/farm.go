@@ -100,6 +100,10 @@ type ShardResult struct {
 	// "fresh-boot"); live-status detail only, excluded from the journal and
 	// the merge.
 	BootSource string
+	// LogDropped counts the lines the shard device's full logcat ring
+	// evicted. Run-summary detail only: excluded from the journal, so
+	// resumed and remotely executed shards report zero.
+	LogDropped uint64
 }
 
 // CampaignResult is the merged per-campaign view (Table III's unit).
@@ -125,6 +129,10 @@ type Result struct {
 	Workers int
 	// Triage holds deduplicated crash buckets (nil when DisableTriage).
 	Triage *triage.Result
+	// LogDropped sums ShardResult.LogDropped over the shards this process
+	// executed: lines the streaming analyzer and triage consumed but the
+	// device rings no longer hold. It is not part of the export.
+	LogDropped uint64
 }
 
 // farmMetrics caches the engine's metric handles (all nil-safe no-ops when
@@ -573,6 +581,7 @@ func runShard(cfg Config, kind apps.FleetKind, key ShardKey, met farmMetrics, ex
 		Summary:    core.Summarize(run, dev.BootCount()),
 		Report:     col.Report(),
 		BootSource: source,
+		LogDropped: dev.Logcat().Dropped(),
 	}
 	if tri != nil {
 		sr.Crashes = tri.Crashes()
@@ -603,6 +612,7 @@ func merge(fleet *apps.Fleet, campaigns []core.Campaign, plan []ShardKey, result
 		cr.Report.Merge(sr.Report)
 		cr.Sent += sr.Sent
 		cr.Summaries = append(cr.Summaries, sr.Summary)
+		res.LogDropped += sr.LogDropped
 	}
 	for _, c := range campaigns {
 		cr := byCampaign[c]

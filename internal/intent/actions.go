@@ -173,25 +173,91 @@ func buildActions() []string {
 	return out
 }
 
-// IsProtected reports whether action may only be sent by privileged OS
-// processes. Sending a protected action from an ordinary app raises a
-// SecurityException, the paper's dominant exception class (81.3%).
-func IsProtected(action string) bool { return protectedActions[action] }
-
-// KnownAction reports whether action is registered in the catalog; the adb
-// `pm`-style strict validation and the dispatcher's "no such action" path
-// use this.
-func KnownAction(action string) bool {
-	return knownActions[action]
+// ActionInfo holds one action's catalog attributes. They are computed once
+// per action at start-up, so a caller that needs several of them pays a
+// single lookup; the zero value describes an action outside the catalog.
+type ActionInfo struct {
+	known     bool
+	protected bool
+	// protectedIndex numbers the protected actions densely (0 to
+	// ProtectedActionCount-1) so callers can keep per-action state in
+	// slices; -1 for every other action.
+	protectedIndex int
+	// schemes lists the data schemes the action legitimately carries; nil
+	// for actions without a data expectation.
+	schemes []string
 }
 
-var knownActions = func() map[string]bool {
-	m := make(map[string]bool, len(Actions))
+// actionInfos holds the attributes of every catalog action.
+// ProtectedActionCount is the number of protected actions in the catalog,
+// the bound of ActionInfo.ProtectedIndex.
+var actionInfos, ProtectedActionCount = func() (map[string]ActionInfo, int) {
+	m := make(map[string]ActionInfo, len(Actions))
+	// Catalog order, not map order, so the numbering is reproducible.
+	n := 0
 	for _, a := range Actions {
-		m[a] = true
+		info := ActionInfo{known: true, protectedIndex: -1}
+		if protectedActions[a] {
+			info.protected, info.protectedIndex = true, n
+			n++
+		}
+		m[a] = info
 	}
-	return m
+	for a, ss := range actionSchemes {
+		info, ok := m[a]
+		if !ok {
+			info.protectedIndex = -1
+		}
+		info.schemes = ss
+		m[a] = info
+	}
+	return m, n
 }()
+
+// LookupAction returns the catalog attributes of action.
+func LookupAction(action string) ActionInfo {
+	if info, ok := actionInfos[action]; ok {
+		return info
+	}
+	return ActionInfo{protectedIndex: -1}
+}
+
+// Known reports whether the action is registered in the catalog; the adb
+// `pm`-style strict validation and the dispatcher's "no such action" path
+// use this.
+func (a ActionInfo) Known() bool { return a.known }
+
+// Protected reports whether only privileged OS processes may send the
+// action. Sending a protected action from an ordinary app raises a
+// SecurityException, the paper's dominant exception class (81.3%).
+func (a ActionInfo) Protected() bool { return a.protected }
+
+// ProtectedIndex returns the action's dense index among the protected
+// actions, or -1 when it is not protected.
+func (a ActionInfo) ProtectedIndex() int { return a.protectedIndex }
+
+// ExpectsData reports whether the action has any data expectation.
+func (a ActionInfo) ExpectsData() bool { return a.schemes != nil }
+
+// AcceptsScheme reports whether the action can legitimately carry data with
+// the given scheme. Actions without a data expectation accept only "no
+// data", so any scheme is a mismatch for them.
+func (a ActionInfo) AcceptsScheme(scheme string) bool {
+	for _, s := range a.schemes {
+		if s == scheme {
+			return true
+		}
+	}
+	return false
+}
+
+// IsProtected reports whether action may only be sent by privileged OS
+// processes (ActionInfo.Protected).
+func IsProtected(action string) bool { return LookupAction(action).protected }
+
+// KnownAction reports whether action is registered in the catalog
+// (ActionInfo.Known).
+func KnownAction(action string) bool { return LookupAction(action).known }
 
 // Common intent categories.
 const (

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind enumerates the value types a Bundle entry can carry. The set mirrors
@@ -85,35 +86,64 @@ func NullValue() Value           { return Value{Kind: KindNull} }
 
 // Bundle is an ordered set of typed key/value extras. Android's Bundle is a
 // string-keyed map; we keep insertion order so flattened intents are
-// reproducible.
+// reproducible. Keys and values live in parallel slices: an intent carries
+// at most a handful of extras, so a linear scan beats hashing, and a Value
+// (larger than a map stores inline) is never boxed.
 type Bundle struct {
-	keys   []string
-	values map[string]Value
+	keys []string
+	vals []Value
+	// text backs the string values stored with PutText; Reset recycles it.
+	text []byte
 }
 
 // NewBundle returns an empty bundle.
-func NewBundle() *Bundle {
-	return &Bundle{values: make(map[string]Value)}
+func NewBundle() *Bundle { return &Bundle{} }
+
+// index returns the position of key, or -1.
+func (b *Bundle) index(key string) int {
+	for i, k := range b.keys {
+		if k == key {
+			return i
+		}
+	}
+	return -1
 }
 
-// Put inserts or replaces the value for key.
+// Put inserts or replaces the value for key. A replaced key keeps its
+// position.
 func (b *Bundle) Put(key string, v Value) {
-	if b.values == nil {
-		b.values = make(map[string]Value)
+	if i := b.index(key); i >= 0 {
+		b.vals[i] = v
+		return
 	}
-	if _, exists := b.values[key]; !exists {
-		b.keys = append(b.keys, key)
+	b.keys = append(b.keys, key)
+	b.vals = append(b.vals, v)
+}
+
+// PutText puts a string value whose bytes are copied into the bundle's own
+// reusable text buffer instead of a fresh allocation. The stored string
+// aliases that buffer: it stays valid until the next Reset, and Clone gives
+// the copy strings of its own. Generators that refill one pooled intent use
+// it to attach random strings without allocating.
+func (b *Bundle) PutText(key string, text []byte) {
+	if len(text) == 0 {
+		b.Put(key, StringValue(""))
+		return
 	}
-	b.values[key] = v
+	start := len(b.text)
+	b.text = append(b.text, text...)
+	b.Put(key, StringValue(unsafe.String(unsafe.SliceData(b.text[start:]), len(text))))
 }
 
 // Get returns the value for key; ok is false when absent.
 func (b *Bundle) Get(key string) (Value, bool) {
-	if b == nil || b.values == nil {
+	if b == nil {
 		return Value{}, false
 	}
-	v, ok := b.values[key]
-	return v, ok
+	if i := b.index(key); i >= 0 {
+		return b.vals[i], true
+	}
+	return Value{}, false
 }
 
 // Len returns the number of extras.
@@ -123,6 +153,10 @@ func (b *Bundle) Len() int {
 	}
 	return len(b.keys)
 }
+
+// KeyAt returns the i-th key in insertion order, without the copy Keys
+// makes.
+func (b *Bundle) KeyAt(i int) string { return b.keys[i] }
 
 // Keys returns the keys in insertion order (a copy).
 func (b *Bundle) Keys() []string {
@@ -137,35 +171,41 @@ func (b *Bundle) HasNull() bool {
 	if b == nil {
 		return false
 	}
-	for _, v := range b.values {
-		if v.Kind == KindNull {
+	for i := range b.vals {
+		if b.vals[i].Kind == KindNull {
 			return true
 		}
 	}
 	return false
 }
 
-// Reset empties the bundle in place, retaining the key slice and map
+// Reset empties the bundle in place, retaining the key, value and text
 // storage so a pooled bundle stops allocating once warmed up.
 func (b *Bundle) Reset() {
 	if b == nil {
 		return
 	}
 	b.keys = b.keys[:0]
-	clear(b.values)
+	b.vals = b.vals[:0]
+	b.text = b.text[:0]
 }
 
-// Clone returns a deep copy of the bundle.
+// Clone returns a deep copy of the bundle. String values are copied out of
+// the text buffer, so the clone stays intact when the original is reset.
 func (b *Bundle) Clone() *Bundle {
 	if b == nil {
 		return nil
 	}
 	out := &Bundle{
-		keys:   append([]string(nil), b.keys...),
-		values: make(map[string]Value, len(b.values)),
+		keys: append([]string(nil), b.keys...),
+		vals: append([]Value(nil), b.vals...),
 	}
-	for k, v := range b.values {
-		out.values[k] = v
+	if len(b.text) > 0 {
+		for i := range out.vals {
+			if out.vals[i].Kind == KindString {
+				out.vals[i].Str = strings.Clone(out.vals[i].Str)
+			}
+		}
 	}
 	return out
 }
@@ -182,7 +222,7 @@ func (b *Bundle) String() string {
 		if i > 0 {
 			sb.WriteString(", ")
 		}
-		v := b.values[k]
+		v := b.vals[i]
 		fmt.Fprintf(&sb, "%s=%s(%s)", k, v.String(), v.Kind)
 	}
 	sb.WriteByte(']')

@@ -66,6 +66,22 @@ type Intent struct {
 	// dispatcher uses it for permission checks. It is transport metadata,
 	// not part of the serialized intent.
 	SenderUID int
+
+	// actionFor/actionInfo memoise LookupAction for ActionInfo: the
+	// dispatcher and the behaviour models both consult it per delivery, and
+	// a generator emits runs of intents with the same action.
+	actionFor  string
+	actionInfo ActionInfo
+	actionSet  bool
+}
+
+// ActionInfo returns the catalog attributes of the intent's action
+// (LookupAction), memoised on the intent until the action changes.
+func (in *Intent) ActionInfo() ActionInfo {
+	if !in.actionSet || in.actionFor != in.Action {
+		in.actionFor, in.actionInfo, in.actionSet = in.Action, LookupAction(in.Action), true
+	}
+	return in.actionInfo
 }
 
 // Intent flags (subset).

@@ -1,6 +1,7 @@
 package intent
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -120,6 +121,37 @@ func TestProtectedActions(t *testing.T) {
 	}
 }
 
+// TestActionInfoProtectedIndex pins the dense numbering the dispatcher's
+// per-component denial caches index by: every protected action is in the
+// catalog and gets a distinct index below ProtectedActionCount, and every
+// other action reports -1.
+func TestActionInfoProtectedIndex(t *testing.T) {
+	seen := make(map[int]string)
+	for _, a := range Actions {
+		info := LookupAction(a)
+		if !info.Protected() {
+			if info.ProtectedIndex() != -1 {
+				t.Fatalf("%s: unprotected action has index %d", a, info.ProtectedIndex())
+			}
+			continue
+		}
+		i := info.ProtectedIndex()
+		if i < 0 || i >= ProtectedActionCount {
+			t.Fatalf("%s: index %d outside [0, %d)", a, i, ProtectedActionCount)
+		}
+		if prev, dup := seen[i]; dup {
+			t.Fatalf("%s and %s share index %d", prev, a, i)
+		}
+		seen[i] = a
+	}
+	if len(seen) != len(protectedActions) || len(seen) != ProtectedActionCount {
+		t.Fatalf("%d protected actions indexed, want all %d", len(seen), len(protectedActions))
+	}
+	if info := LookupAction("S0me.r@ndom.$trinG"); info.Known() || info.Protected() || info.ProtectedIndex() != -1 {
+		t.Fatalf("non-catalog action info = %+v", info)
+	}
+}
+
 func TestComponentNameFlattenUnflatten(t *testing.T) {
 	tests := []struct {
 		c    ComponentName
@@ -194,6 +226,70 @@ func TestBundleBasics(t *testing.T) {
 	}
 	if got := b.Keys(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Errorf("Keys() = %v", got)
+	}
+}
+
+// TestBundleSemantics pins the ordered-slice bundle against the map
+// semantics it replaced: a replaced key keeps its position, Keys follows
+// insertion order, Clone is independent (text-buffer strings included), and
+// a Reset bundle is reusable from empty.
+func TestBundleSemantics(t *testing.T) {
+	type put struct {
+		key  string
+		val  Value
+		text string // non-empty: PutText instead of Put
+	}
+	tests := []struct {
+		name     string
+		puts     []put
+		wantKeys []string
+		wantStr  string
+	}{
+		{"empty", nil, nil, "Bundle[]"},
+		{"insertion order", []put{{key: "b", val: IntValue(1)}, {key: "a", val: IntValue(2)}, {key: "c", val: NullValue()}},
+			[]string{"b", "a", "c"}, "Bundle[b=1(int), a=2(int), c=null(null)]"},
+		{"replace keeps position", []put{{key: "x", val: IntValue(1)}, {key: "y", val: IntValue(2)}, {key: "x", val: BoolValue(true)}},
+			[]string{"x", "y"}, "Bundle[x=true(boolean), y=2(int)]"},
+		{"text values", []put{{key: "s", text: "abc"}, {key: "t", text: "de"}, {key: "s", text: "fgh"}},
+			[]string{"s", "t"}, "Bundle[s=fgh(string), t=de(string)]"},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			b := NewBundle()
+			// Reuse after Reset must behave exactly like a fresh bundle.
+			for round := 0; round < 2; round++ {
+				for _, p := range tc.puts {
+					if p.text != "" {
+						b.PutText(p.key, []byte(p.text))
+					} else {
+						b.Put(p.key, p.val)
+					}
+				}
+				if got := b.Keys(); !reflect.DeepEqual(got, tc.wantKeys) {
+					t.Fatalf("round %d: Keys() = %v, want %v", round, got, tc.wantKeys)
+				}
+				for i, k := range tc.wantKeys {
+					if b.KeyAt(i) != k {
+						t.Fatalf("round %d: KeyAt(%d) = %q, want %q", round, i, b.KeyAt(i), k)
+					}
+				}
+				if got := b.String(); got != tc.wantStr {
+					t.Fatalf("round %d: String() = %q, want %q", round, got, tc.wantStr)
+				}
+				cp := b.Clone()
+				b.Reset()
+				if b.Len() != 0 || b.HasNull() {
+					t.Fatalf("round %d: Reset left %d keys", round, b.Len())
+				}
+				// Overwrite the text buffer the original's strings lived in;
+				// the clone must not notice.
+				b.PutText("scribble", []byte("zzzzzzzzzzzzzzzz"))
+				if got := cp.String(); got != tc.wantStr {
+					t.Fatalf("round %d: clone after Reset = %q, want %q", round, got, tc.wantStr)
+				}
+				b.Reset()
+			}
+		})
 	}
 }
 

@@ -100,6 +100,7 @@ func (u URI) String() string {
 		return ""
 	}
 	var b strings.Builder
+	b.Grow(len(u.Scheme) + len(u.Opaque) + len(u.Host) + len(u.Port) + len(u.Path) + len(u.Query) + len(u.Fragment) + 6)
 	b.WriteString(u.Scheme)
 	b.WriteByte(':')
 	if u.Opaque != "" || (u.Host == "" && u.Path == "" && u.Query == "" && IsOpaqueScheme(u.Scheme)) {
@@ -127,25 +128,37 @@ func (u URI) String() string {
 // IsZero reports whether the URI is unset.
 func (u URI) IsZero() bool { return u.Scheme == "" && u.Opaque == "" && u.Host == "" && u.Path == "" }
 
-// uriTexts interns the rendered text of the catalog's sample data URIs.
-// Campaign generation draws data almost exclusively from SampleData, so the
-// dispatch hot path can hand out a shared string instead of re-assembling
-// the same dozen URIs millions of times. URI is comparable (all fields are
-// strings), so the table is a plain map lookup.
-var uriTexts = func() map[URI]string {
-	m := make(map[URI]string, len(Schemes))
-	for _, s := range Schemes {
+// sampleURIs interns the rendered text of the catalog's sample data URIs,
+// one per scheme in Schemes order. Campaign generation draws data almost
+// exclusively from SampleData, so the dispatch hot path can hand out a
+// shared string instead of re-assembling the same dozen URIs millions of
+// times. URIText finds the entry by scheme alone — a dozen short-string
+// compares, no hashing of the whole URI — and then compares the sample to
+// confirm the hit.
+var sampleURIs = func() []sampleURI {
+	out := make([]sampleURI, len(Schemes))
+	for i, s := range Schemes {
 		u := SampleData(s)
-		m[u] = u.String()
+		out[i] = sampleURI{u, u.String()}
 	}
-	return m
+	return out
 }()
+
+type sampleURI struct {
+	uri  URI
+	text string
+}
 
 // URIText returns the textual form of u, serving catalog sample URIs from
 // an intern table and falling back to String() for everything else.
 func URIText(u URI) string {
-	if s, ok := uriTexts[u]; ok {
-		return s
+	for i := range sampleURIs {
+		if e := &sampleURIs[i]; e.uri.Scheme == u.Scheme {
+			if e.uri == u {
+				return e.text
+			}
+			break
+		}
 	}
 	return u.String()
 }

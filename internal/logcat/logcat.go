@@ -74,10 +74,15 @@ const (
 	// MsgDelivering renders "Delivering to <Verb> cmp=<Flat> pid=<PID>".
 	MsgDelivering
 	// MsgRejected renders
-	// "Exception thrown delivering intent to cmp=<Flat>: <Err>".
+	// "Exception thrown delivering intent to cmp=<Flat>: <Text>".
 	MsgRejected
-	// MsgCaught renders "caught exception while handling intent: <Err>".
+	// MsgCaught renders "caught exception while handling intent: <Text>".
 	MsgCaught
+	// MsgDenied renders Text, a gate-denial line the dispatcher rendered
+	// once and replays from its cache. Comp is the component the line
+	// charges a SecurityException to (DenialTarget of the text), zero when
+	// the line is no such denial or names no parseable component.
+	MsgDenied
 )
 
 // Payload carries the structured operands of a lazily rendered message.
@@ -85,28 +90,52 @@ const (
 // cached component flats) so storing them allocates nothing.
 type Payload struct {
 	Op MsgOp
+	// HasData distinguishes "no data" from data rendering to the empty
+	// string, the way Intent.String keys off URI.IsZero; HasExtras adds
+	// "(has extras)". Both belong to MsgDispatch.
+	HasData   bool
+	HasExtras bool
+	// UID is the sender UID of MsgDispatch; PID the target process of
+	// MsgDelivering.
+	UID int32
+	PID int32
 	// Verb is the dispatch verb (START, startService, bindService,
 	// broadcastIntent) for MsgDispatch, or the component kind (activity,
 	// service, receiver) for MsgDelivering.
 	Verb string
-	// Act/Data/Comp/HasExtras are the intent fields of MsgDispatch. HasData
-	// distinguishes "no data" from data rendering to the empty string, the
-	// way Intent.String keys off URI.IsZero.
-	Act       string
-	Data      string
-	HasData   bool
-	HasExtras bool
+	// Act and Data are the intent fields of MsgDispatch.
+	Act  string
+	Data string
 	// Comp is the target component, rendered as cmp=<flat> by MsgDispatch,
 	// MsgDelivering and MsgRejected, and consumed structurally (parse-free)
 	// by the streaming analyzer.
 	Comp intent.ComponentName
-	// Err is the rendered throwable ("<class>: <message>") for
-	// MsgRejected/MsgCaught.
-	Err string
-	// UID is the sender UID of MsgDispatch; PID the target process of
-	// MsgDelivering.
-	UID int
-	PID int
+	// Text is the rendered throwable ("<class>: <message>") for
+	// MsgRejected/MsgCaught, or the whole line for MsgDenied.
+	Text string
+}
+
+// Denial returns the payload of a gate-denial line: the text itself plus
+// the component a SecurityException in it is charged to.
+func Denial(line string) Payload {
+	cn, _ := DenialTarget(line)
+	return Payload{Op: MsgDenied, Comp: cn, Text: line}
+}
+
+// DenialTarget parses the component a SecurityException denial line
+// ("java.lang.SecurityException: ... targeting <flat>") is charged to. ok
+// is false when the line is no such denial or names no parseable
+// component.
+func DenialTarget(msg string) (intent.ComponentName, bool) {
+	const marker = " targeting "
+	if !strings.Contains(msg, "java.lang.SecurityException") {
+		return intent.ComponentName{}, false
+	}
+	i := strings.LastIndex(msg, marker)
+	if i < 0 {
+		return intent.ComponentName{}, false
+	}
+	return intent.UnflattenComponent(strings.TrimSpace(msg[i+len(marker):]))
 }
 
 // appendMsg renders the payload's message text into dst. The output is
@@ -154,10 +183,12 @@ func (p *Payload) appendMsg(dst []byte) []byte {
 		dst = append(dst, "Exception thrown delivering intent to cmp="...)
 		dst = appendFlat(dst, p.Comp)
 		dst = append(dst, ": "...)
-		dst = append(dst, p.Err...)
+		dst = append(dst, p.Text...)
 	case MsgCaught:
 		dst = append(dst, "caught exception while handling intent: "...)
-		dst = append(dst, p.Err...)
+		dst = append(dst, p.Text...)
+	case MsgDenied:
+		dst = append(dst, p.Text...)
 	}
 	return dst
 }
@@ -192,8 +223,11 @@ type Entry struct {
 
 // Msg returns the entry's message text, rendering a lazy payload on demand.
 func (e *Entry) Msg() string {
-	if e.Payload.Op == MsgEager {
+	switch e.Payload.Op {
+	case MsgEager:
 		return e.Message
+	case MsgDenied:
+		return e.Payload.Text
 	}
 	return string(e.Payload.appendMsg(nil))
 }
@@ -262,6 +296,31 @@ type Sink interface {
 	Consume(Entry)
 }
 
+// EntrySink is an optional extension of Sink for sinks that read entries in
+// place: the buffer hands them a pointer to its retained copy instead of a
+// by-value copy of the whole entry. The entry is read-only and the pointer
+// is valid only for the duration of the call.
+type EntrySink interface {
+	Sink
+	ConsumeEntry(e *Entry)
+}
+
+// subscriber is a registered sink, with its EntrySink side resolved once at
+// Subscribe so the per-line fan-out makes no type assertion.
+type subscriber struct {
+	sink Sink
+	ptr  EntrySink
+}
+
+// consume hands e to the subscriber.
+func (s subscriber) consume(e *Entry) {
+	if s.ptr != nil {
+		s.ptr.ConsumeEntry(e)
+		return
+	}
+	s.sink.Consume(*e)
+}
+
 // SinkFunc adapts a function to the Sink interface.
 type SinkFunc func(Entry)
 
@@ -279,7 +338,7 @@ type Buffer struct {
 	start   int // index of oldest entry
 	count   int
 	dropped uint64
-	sinks   []Sink
+	sinks   []subscriber
 
 	// Telemetry (optional; nil metrics no-op).
 	appended     *telemetry.Counter
@@ -341,7 +400,7 @@ func (b *Buffer) Restore(entries []Entry) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for i := range entries {
-		b.push(entries[i])
+		b.push(&entries[i])
 	}
 	b.total += uint64(len(entries))
 }
@@ -369,7 +428,7 @@ func (b *Buffer) ResetRetain(baseline []Entry) {
 		b.count = len(baseline)
 	} else {
 		for i := range baseline {
-			b.push(baseline[i])
+			b.push(&baseline[i])
 		}
 	}
 	b.total = uint64(len(baseline))
@@ -399,7 +458,8 @@ func (b *Buffer) grow() {
 func (b *Buffer) Subscribe(s Sink) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.sinks = append(b.sinks, s)
+	ptr, _ := s.(EntrySink)
+	b.sinks = append(b.sinks, subscriber{sink: s, ptr: ptr})
 }
 
 // SetTelemetry wires the buffer's counters into reg: logcat_entries_total
@@ -455,16 +515,18 @@ func (b *Buffer) OnFirstDrop(fn func(capacity int)) {
 // append path. Dropped() stays exact; scrapes lag by at most the cadence.
 const droppedGaugeEvery = 1024
 
-// push stores e in the ring; the caller holds b.mu. It reports whether this
-// push evicted the first-ever entry (the OnFirstDrop trigger).
-func (b *Buffer) push(e Entry) bool {
+// push stores a copy of *e in the ring and returns the ring slot holding it;
+// the caller holds b.mu. It also reports whether this push evicted the
+// first-ever entry (the OnFirstDrop trigger).
+func (b *Buffer) push(e *Entry) (*Entry, bool) {
 	capN := len(b.entries)
 	if b.count == capN && capN < b.maxCap {
 		b.grow()
 		capN = len(b.entries)
 	}
 	if b.count == capN {
-		b.entries[b.start] = e
+		slot := &b.entries[b.start]
+		*slot = *e
 		if b.start++; b.start == capN {
 			b.start = 0
 		}
@@ -472,22 +534,30 @@ func (b *Buffer) push(e Entry) bool {
 		if b.dropped == 1 || b.dropped&(droppedGaugeEvery-1) == 0 {
 			b.droppedGauge.Set(float64(b.dropped))
 		}
-		return b.dropped == 1
+		return slot, b.dropped == 1
 	}
 	idx := b.start + b.count
 	if idx >= capN {
 		idx -= capN
 	}
-	b.entries[idx] = e
+	slot := &b.entries[idx]
+	*slot = *e
 	b.count++
-	return false
+	return slot, false
 }
 
 // Append adds an entry to the buffer and fans it out to sinks.
-func (b *Buffer) Append(e Entry) {
+func (b *Buffer) Append(e Entry) { b.append(&e) }
+
+// append is Append without the by-value copy: the hot loggers build the
+// entry on their own stack and hand it over by pointer. Sinks then read the
+// ring's copy, which stays put while they run (it would take a full ring
+// of further appends to overwrite it).
+func (b *Buffer) append(e *Entry) {
 	b.mu.Lock()
+	slot, drop := b.push(e)
 	var firstDrop func(int)
-	if b.push(e) {
+	if drop {
 		firstDrop = b.onFirstDrop
 	}
 	b.total++
@@ -501,7 +571,7 @@ func (b *Buffer) Append(e Entry) {
 		firstDrop(capN)
 	}
 	for _, s := range sinks {
-		s.Consume(e)
+		s.consume(slot)
 	}
 }
 
@@ -515,7 +585,7 @@ func (b *Buffer) AppendBatch(entries []Entry) {
 	b.mu.Lock()
 	var firstDrop func(int)
 	for i := range entries {
-		if b.push(entries[i]) {
+		if _, drop := b.push(&entries[i]); drop {
 			firstDrop = b.onFirstDrop
 		}
 	}
@@ -531,7 +601,7 @@ func (b *Buffer) AppendBatch(entries []Entry) {
 	}
 	for _, s := range sinks {
 		for i := range entries {
-			s.Consume(entries[i])
+			s.consume(&entries[i])
 		}
 	}
 }
@@ -609,18 +679,16 @@ func (l *Logger) Log(pid, tid int, level Level, tag, format string, args ...any)
 	if len(args) > 0 {
 		msg = fmt.Sprintf(format, args...)
 	}
-	l.buf.Append(Entry{
-		Time: l.now(), PID: pid, TID: tid, Level: level, Tag: tag, Message: msg,
-	})
+	e := Entry{Time: l.now(), PID: pid, TID: tid, Level: level, Tag: tag, Message: msg}
+	l.buf.append(&e)
 }
 
-// LogLazy appends an entry whose message renders on demand from p. The
+// LogLazy appends an entry whose message renders on demand from *p. The
 // injection hot path uses this to store structure instead of paying
-// fmt.Sprintf per intent.
-func (l *Logger) LogLazy(pid, tid int, level Level, tag string, p Payload) {
-	l.buf.Append(Entry{
-		Time: l.now(), PID: pid, TID: tid, Level: level, Tag: tag, Payload: p,
-	})
+// fmt.Sprintf per intent; the payload is copied, never retained.
+func (l *Logger) LogLazy(pid, tid int, level Level, tag string, p *Payload) {
+	e := Entry{Time: l.now(), PID: pid, TID: tid, Level: level, Tag: tag, Payload: *p}
+	l.buf.append(&e)
 }
 
 // Block appends several entries sharing the same metadata — used for

@@ -1,6 +1,7 @@
 package logcat
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -97,6 +98,32 @@ func TestSinksObserveAppends(t *testing.T) {
 	}
 	if len(seen) != 5 {
 		t.Fatalf("sink saw %d entries, want 5", len(seen))
+	}
+}
+
+// pidSink records the PIDs an EntrySink is handed in place.
+type pidSink struct{ seen []int }
+
+func (p *pidSink) Consume(e Entry)       { p.seen = append(p.seen, -1) }
+func (p *pidSink) ConsumeEntry(e *Entry) { p.seen = append(p.seen, e.PID) }
+
+// TestEntrySinkReadsInPlace subscribes an EntrySink next to a plain Sink
+// on a tiny ring: the EntrySink must be handed every entry through
+// ConsumeEntry (never the copying Consume), single appends and batches
+// alike, in the same order the plain sink sees.
+func TestEntrySinkReadsInPlace(t *testing.T) {
+	b := NewBuffer(2)
+	ptr := &pidSink{}
+	var plain []int
+	b.Subscribe(ptr)
+	b.Subscribe(SinkFunc(func(e Entry) { plain = append(plain, e.PID) }))
+	for i := 0; i < 5; i++ {
+		b.Append(Entry{PID: i})
+	}
+	b.AppendBatch([]Entry{{PID: 5}, {PID: 6}, {PID: 7}})
+	want := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	if fmt.Sprint(ptr.seen) != fmt.Sprint(want) || fmt.Sprint(plain) != fmt.Sprint(want) {
+		t.Fatalf("EntrySink saw %v, plain sink %v, want %v", ptr.seen, plain, want)
 	}
 }
 

@@ -255,17 +255,35 @@ func (p *Package) Launcher() *Component {
 
 // Registry indexes installed packages and resolves component lookups; it is
 // the PackageManager's data plane.
+//
+// Every component name the registry meets gets a dense ID (0, 1, 2, ... in
+// order of first sight), so per-component device state can live in slices
+// indexed by ID instead of maps hashed by name. IDs are stable until Clear:
+// uninstalling a package leaves its IDs reserved, and reinstalling it
+// reuses them.
 type Registry struct {
 	packages map[string]*Package
-	byName   map[intent.ComponentName]*Component
-	order    []string
+	ids      map[intent.ComponentName]int
+	// names, comps and pkgs are indexed by ID; comps and pkgs are nil for
+	// names that are not installed.
+	names []intent.ComponentName
+	comps []*Component
+	pkgs  []*Package
+	order []string
+
+	// memoName/memoID memoise the most recent ID lookup: a campaign sends
+	// thousands of intents in a row to the one component under fuzz.
+	// memoID is -1 when the memo is empty.
+	memoName intent.ComponentName
+	memoID   int
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
 		packages: make(map[string]*Package),
-		byName:   make(map[intent.ComponentName]*Component),
+		ids:      make(map[intent.ComponentName]int),
+		memoID:   -1,
 	}
 }
 
@@ -282,15 +300,16 @@ func (r *Registry) Install(pkg *Package) error {
 		}
 	}
 	if old, ok := r.packages[pkg.Name]; ok {
-		for _, c := range old.Components {
-			delete(r.byName, c.Name)
-		}
+		r.unindex(old)
 	} else {
 		r.order = append(r.order, pkg.Name)
 	}
+	r.memoID = -1
 	r.packages[pkg.Name] = pkg
 	for _, c := range pkg.Components {
-		r.byName[c.Name] = c
+		id := r.Intern(c.Name)
+		r.comps[id] = c
+		r.pkgs[id] = pkg
 		// The interned strings are write-once: packages structurally shared
 		// across device clones are installed concurrently, and rewriting an
 		// already-cached value would race with readers on sibling devices.
@@ -304,15 +323,68 @@ func (r *Registry) Install(pkg *Package) error {
 	return nil
 }
 
+// unindex clears the ID slots of pkg's components; the IDs stay reserved.
+func (r *Registry) unindex(pkg *Package) {
+	for _, c := range pkg.Components {
+		if id, ok := r.ids[c.Name]; ok {
+			r.comps[id] = nil
+			r.pkgs[id] = nil
+		}
+	}
+}
+
+// Intern returns the dense ID of name, assigning the next one on first
+// sight. Names need not be installed: devices attach handlers to
+// components before (or without) installing them.
+func (r *Registry) Intern(name intent.ComponentName) int {
+	if id, ok := r.ids[name]; ok {
+		return id
+	}
+	id := len(r.comps)
+	r.ids[name] = id
+	r.names = append(r.names, name)
+	r.comps = append(r.comps, nil)
+	r.pkgs = append(r.pkgs, nil)
+	return id
+}
+
+// ID returns the dense ID of name without assigning one; ok is false for a
+// name the registry has never seen.
+func (r *Registry) ID(name intent.ComponentName) (int, bool) {
+	if r.memoID >= 0 && name == r.memoName {
+		return r.memoID, true
+	}
+	id, ok := r.ids[name]
+	if ok {
+		r.memoName, r.memoID = name, id
+	}
+	return id, ok
+}
+
+// IDs returns how many IDs the registry has assigned; every ID is below it.
+func (r *Registry) IDs() int { return len(r.comps) }
+
+// Names returns every interned name in ID order (a copy). Interning them
+// in this order into an empty registry reproduces the same IDs.
+func (r *Registry) Names() []intent.ComponentName {
+	return append([]intent.ComponentName(nil), r.names...)
+}
+
+// ByID returns the installed component with the given ID, or nil.
+func (r *Registry) ByID(id int) *Component { return r.comps[id] }
+
+// PackageByID returns the installed package declaring the component with
+// the given ID, or nil.
+func (r *Registry) PackageByID(id int) *Package { return r.pkgs[id] }
+
 // Uninstall removes the named package; it reports whether it was installed.
 func (r *Registry) Uninstall(name string) bool {
 	pkg, ok := r.packages[name]
 	if !ok {
 		return false
 	}
-	for _, c := range pkg.Components {
-		delete(r.byName, c.Name)
-	}
+	r.unindex(pkg)
+	r.memoID = -1
 	delete(r.packages, name)
 	for i, n := range r.order {
 		if n == name {
@@ -323,13 +395,21 @@ func (r *Registry) Uninstall(name string) bool {
 	return true
 }
 
-// Clear removes every installed package, returning the registry to its
-// NewRegistry state while reusing the map allocations. The persistent-mode
-// device reset clears and reinstalls the snapshot's package set in place.
+// Clear removes every installed package and every assigned ID, returning
+// the registry to its NewRegistry state while reusing the allocations. The
+// persistent-mode device reset clears and reinstalls the snapshot's package
+// set in place, which assigns the snapshot's IDs again.
 func (r *Registry) Clear() {
 	clear(r.packages)
-	clear(r.byName)
+	clear(r.ids)
+	clear(r.names)
+	clear(r.comps)
+	clear(r.pkgs)
+	r.names = r.names[:0]
+	r.comps = r.comps[:0]
+	r.pkgs = r.pkgs[:0]
 	r.order = r.order[:0]
+	r.memoID = -1
 }
 
 // Package returns the named package, or nil.
@@ -349,7 +429,10 @@ func (r *Registry) Packages() []*Package {
 
 // Component resolves an explicit component name; nil when unknown.
 func (r *Registry) Component(name intent.ComponentName) *Component {
-	return r.byName[name]
+	if id, ok := r.ID(name); ok {
+		return r.comps[id]
+	}
+	return nil
 }
 
 // Resolve returns the component an intent resolves to. Explicit intents
@@ -358,7 +441,7 @@ func (r *Registry) Component(name intent.ComponentName) *Component {
 // explicit-intent focus where implicit resolution is rarely exercised).
 func (r *Registry) Resolve(in *intent.Intent, want ComponentType) *Component {
 	if in.IsExplicit() {
-		c := r.byName[in.Component]
+		c := r.Component(in.Component)
 		if c == nil || c.Type != want {
 			return nil
 		}

@@ -154,12 +154,19 @@ const asciiPrintable = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123
 // ASCII returns a random printable-ASCII string with length uniform in
 // [minLen, maxLen].
 func (s *Source) ASCII(minLen, maxLen int) string {
+	var buf [32]byte
+	return string(s.AppendASCII(buf[:0], minLen, maxLen))
+}
+
+// AppendASCII appends the string ASCII would return to dst, consuming the
+// stream identically, so callers with a reusable buffer skip the string
+// allocation.
+func (s *Source) AppendASCII(dst []byte, minLen, maxLen int) []byte {
 	n := s.IntBetween(minLen, maxLen)
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = asciiPrintable[s.Intn(len(asciiPrintable))]
+	for i := 0; i < n; i++ {
+		dst = append(dst, asciiPrintable[s.Intn(len(asciiPrintable))])
 	}
-	return string(b)
+	return dst
 }
 
 // Digits returns a random decimal digit string with length uniform in

@@ -183,8 +183,11 @@ func sortLabels(labels []Label) []Label {
 	return out
 }
 
-// lookup get-or-creates the entry, enforcing kind consistency.
-func (r *Registry) lookup(name string, k kind, labels []Label) *entry {
+// lookup get-or-creates the entry, enforcing kind consistency. The metric
+// itself is created under the registry lock, before the entry is published,
+// so goroutines that first-touch the same metric concurrently all get the
+// one instance (bounds only matter for a histogram's first lookup).
+func (r *Registry) lookup(name string, k kind, labels []Label, bounds []float64) *entry {
 	labels = sortLabels(labels)
 	key := metricKey(name, labels)
 	r.mu.Lock()
@@ -196,6 +199,14 @@ func (r *Registry) lookup(name string, k kind, labels []Label) *entry {
 		return e
 	}
 	e := &entry{name: name, labels: labels, kind: k}
+	switch k {
+	case kindCounter:
+		e.counter = &Counter{}
+	case kindGauge:
+		e.gauge = &Gauge{}
+	case kindHistogram:
+		e.hist = NewHistogram(bounds)
+	}
 	r.metrics[key] = e
 	return e
 }
@@ -205,11 +216,7 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
-	e := r.lookup(name, kindCounter, labels)
-	if e.counter == nil {
-		e.counter = &Counter{}
-	}
-	return e.counter
+	return r.lookup(name, kindCounter, labels, nil).counter
 }
 
 // Gauge returns the gauge for name+labels, creating it on first use.
@@ -217,11 +224,7 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
 	}
-	e := r.lookup(name, kindGauge, labels)
-	if e.gauge == nil {
-		e.gauge = &Gauge{}
-	}
-	return e.gauge
+	return r.lookup(name, kindGauge, labels, nil).gauge
 }
 
 // Histogram returns the histogram for name+labels, creating it with the
@@ -231,11 +234,7 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Hi
 	if r == nil {
 		return nil
 	}
-	e := r.lookup(name, kindHistogram, labels)
-	if e.hist == nil {
-		e.hist = NewHistogram(bounds)
-	}
-	return e.hist
+	return r.lookup(name, kindHistogram, labels, bounds).hist
 }
 
 // OnCollect registers fn to run before every exposition (WritePrometheus

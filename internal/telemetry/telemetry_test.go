@@ -26,6 +26,41 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
+// TestFirstTouchConcurrent has N goroutines look up the same counter, gauge
+// and histogram for the first time at once, the way farm workers absorb
+// their first shard registries together. Every goroutine must get the one
+// shared instance, so no observation lands on a metric that is lost.
+func TestFirstTouchConcurrent(t *testing.T) {
+	reg := NewRegistry()
+	const goroutines, perG = 16, 500
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := 0; i < goroutines; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for j := 0; j < perG; j++ {
+				reg.Counter("first_total", L("w", "x")).Inc()
+				reg.Gauge("first_gauge").Add(1)
+				reg.Histogram("first_seconds", nil).Observe(0.001)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	const want = goroutines * perG
+	if got := reg.Counter("first_total", L("w", "x")).Value(); got != want {
+		t.Fatalf("counter = %d, want %d", got, want)
+	}
+	if got := reg.Gauge("first_gauge").Value(); got != want {
+		t.Fatalf("gauge = %v, want %d", got, want)
+	}
+	if got := reg.Histogram("first_seconds", nil).Count(); got != want {
+		t.Fatalf("histogram count = %d, want %d", got, want)
+	}
+}
+
 func TestCounterHandleIdentity(t *testing.T) {
 	reg := NewRegistry()
 	a := reg.Counter("x_total", L("k", "1"))

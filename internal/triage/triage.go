@@ -264,7 +264,7 @@ type Collector struct {
 	last    *Crash         // most recently finalized record
 }
 
-var _ logcat.Sink = (*Collector)(nil)
+var _ logcat.EntrySink = (*Collector)(nil)
 
 // NewCollector returns an empty streaming crash collector.
 func NewCollector() *Collector {
@@ -303,13 +303,16 @@ func (c *Collector) AttachFlight(trace string, events []telemetry.Event) bool {
 
 // ConsumeAll feeds a slice of entries (a pulled logcat dump) in order.
 func (c *Collector) ConsumeAll(entries []logcat.Entry) {
-	for _, e := range entries {
-		c.Consume(e)
+	for i := range entries {
+		c.ConsumeEntry(&entries[i])
 	}
 }
 
 // Consume implements logcat.Sink.
-func (c *Collector) Consume(e logcat.Entry) {
+func (c *Collector) Consume(e logcat.Entry) { c.ConsumeEntry(&e) }
+
+// ConsumeEntry implements logcat.EntrySink: Consume without the copy.
+func (c *Collector) ConsumeEntry(e *logcat.Entry) {
 	// Triage only reads FATAL EXCEPTION blocks and process-death notices,
 	// which are always logged eagerly; lazily rendered dispatch traffic
 	// cannot match and is skipped without touching its text.
@@ -384,7 +387,7 @@ func (c *Collector) consumeANR(msg string) {
 	c.last = rec
 }
 
-func (c *Collector) consumeRuntime(e logcat.Entry) {
+func (c *Collector) consumeRuntime(e *logcat.Entry) {
 	msg := e.Message
 	if msg == "FATAL EXCEPTION: main" {
 		c.blocks[e.PID] = &block{}

@@ -51,7 +51,8 @@ type BindHandler func(code int, data any) (any, *javalang.Throwable)
 
 // RegisterBindHandler attaches the transaction protocol for a service.
 func (o *OS) RegisterBindHandler(cn intent.ComponentName, h BindHandler) {
-	o.bindHandlers[cn] = h
+	st := o.slot(o.reg.Intern(cn))
+	st.bind, st.hasBind = h, true
 }
 
 // BindService resolves and binds a service, returning a live connection.
@@ -61,7 +62,7 @@ func (o *OS) RegisterBindHandler(cn intent.ComponentName, h BindHandler) {
 func (o *OS) BindService(in *intent.Intent) (*Connection, *javalang.Throwable) {
 	o.logDispatch("bindService", in)
 
-	if intent.IsProtected(in.Action) && in.SenderUID != UIDSystem {
+	if in.ActionInfo().Protected() && in.SenderUID != UIDSystem {
 		thr := javalang.Newf(javalang.ClassSecurity,
 			"Permission Denial: not allowed to bind with %s from uid=%d", in.Action, in.SenderUID)
 		o.log.Log(1000, 1000, logcat.Warn, logcat.TagActivityManager,
@@ -85,8 +86,10 @@ func (o *OS) BindService(in *intent.Intent) (*Connection, *javalang.Throwable) {
 	endpoint := comp.BindEndpoint()
 	cn := comp.Name
 	o.router.Publish(endpoint, proc.PID, func(code int, data any) (any, *javalang.Throwable) {
-		if h, ok := o.bindHandlers[cn]; ok {
-			return h(code, data)
+		if id, ok := o.reg.ID(cn); ok {
+			if st := o.slot(id); st.hasBind {
+				return st.bind(code, data)
+			}
 		}
 		return data, nil // default echo protocol
 	})

@@ -31,7 +31,7 @@ type BroadcastResult struct {
 func (o *OS) SendBroadcast(in *intent.Intent) BroadcastResult {
 	o.logDispatch("broadcastIntent", in)
 
-	if intent.IsProtected(in.Action) && in.SenderUID != UIDSystem {
+	if in.ActionInfo().Protected() && in.SenderUID != UIDSystem {
 		thr := javalang.Newf(javalang.ClassSecurity,
 			"Permission Denial: not allowed to send broadcast %s from pid=?, uid=%d", in.Action, in.SenderUID)
 		o.log.Log(1000, 1000, logcat.Warn, logcat.TagActivityManager,
@@ -82,21 +82,22 @@ func (o *OS) SendBroadcast(in *intent.Intent) BroadcastResult {
 			continue
 		}
 		proc := o.ensureProcess(comp.Name.Package)
-		o.lastDeliver[proc.PID] = comp.Name
-		o.log.LogLazy(1000, 1000, logcat.Info, logcat.TagActivityManager, logcat.Payload{
+		proc.lastDelivered, proc.delivered = comp.Name, true
+		o.log.LogLazy(1000, 1000, logcat.Info, logcat.TagActivityManager, &logcat.Payload{
 			Op:   logcat.MsgDelivering,
 			Verb: "receiver",
 			Comp: comp.Name,
-			PID:  proc.PID,
+			PID:  int32(proc.PID),
 		})
 
-		h := o.handlers[comp.Name]
+		id, _ := o.reg.ID(comp.Name)
+		st := o.slot(id)
 		var out Outcome
-		if h != nil {
+		if h := st.handler; h != nil {
 			o.env = Env{PID: proc.PID, Clock: o.clock, Log: o.log}
 			out = h(&o.env, in)
 		}
-		dr := o.settle(proc, comp, o.traits[comp.Name], out)
+		dr := o.settle(proc, comp, o.reg.PackageByID(id), st.traits, out)
 		res.Delivered++
 		res.worsen(dr)
 		if o.sysSrv.MaybeReboot() {

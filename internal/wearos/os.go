@@ -3,6 +3,7 @@ package wearos
 import (
 	"fmt"
 	"os"
+	"strconv"
 	"time"
 
 	"repro/internal/binder"
@@ -179,15 +180,14 @@ type OS struct {
 	sysSrv *SystemServer
 	sensor *sensors.Service
 
-	handlers     map[intent.ComponentName]Handler
-	traits       map[intent.ComponentName]ComponentTraits
-	bindHandlers map[intent.ComponentName]BindHandler
+	// comps holds the per-component dispatch state, indexed by the
+	// registry's dense component IDs; it grows on demand (see slot).
+	comps []compState
 
-	bootCount   int
-	bootTime    time.Time
-	rebootLog   []time.Time
-	lastDeliver map[int]intent.ComponentName // pid -> last component delivered
-	dropbox     *dropBox
+	bootCount int
+	bootTime  time.Time
+	rebootLog []time.Time
+	dropbox   *dropBox
 
 	tel         *telemetry.Registry
 	tracer      *telemetry.Tracer
@@ -208,42 +208,92 @@ type OS struct {
 	// dispatches and by FlushTelemetry (see the constant's comment).
 	dispatchPending [DeviceRebooted + 1]uint32
 
-	// gateMsgs caches fully rendered gate-denial log lines. Denials are
-	// deterministic per (component, action, uid, kind, reason), and fuzzing
-	// campaigns hammer the same denials millions of times, so each distinct
-	// line is formatted exactly once.
-	gateMsgs map[gateKey]string
 	// env is the reusable handler environment; the simulation is
 	// single-threaded and handlers must not retain it past their call.
 	env Env
 }
 
-// gateKey identifies one deterministic gate-denial message.
-type gateKey struct {
-	comp   intent.ComponentName
-	action string
-	uid    int
-	kind   manifest.ComponentType
-	reason uint8
+// compState is the dispatch state of one component: what RegisterHandler
+// and RegisterBindHandler attached, and its cached gate denials.
+type compState struct {
+	handler    Handler
+	traits     ComponentTraits
+	bind       BindHandler
+	hasHandler bool
+	hasBind    bool
+	denials    gateDenials
 }
 
-// Gate denial reasons (gateKey.reason).
-const (
-	gateProtected uint8 = iota + 1
-	gateNotFound
-	gateNotExported
-	gateNeedsPermission
-)
+// gateDenials caches a component's rendered gate-denial lines. Denials are
+// deterministic per (component, action, uid, kind, reason), and fuzzing
+// campaigns hammer the same denials millions of times, so each distinct
+// line is formatted exactly once per sender UID.
+type gateDenials struct {
+	// protected is indexed by intent.ActionInfo.ProtectedIndex and
+	// allocated on the first protected-action denial.
+	protected   []cachedDenial
+	notFound    [2]cachedDenial // indexed by kind: activity, service
+	notExported cachedDenial
+	permission  cachedDenial
+}
 
-// gateMsg returns the cached denial line for k, rendering it with build on
-// first use.
-func (o *OS) gateMsg(k gateKey, build func() string) string {
-	if msg, ok := o.gateMsgs[k]; ok {
-		return msg
+// cachedDenial is one rendered denial: the line and the component it
+// charges (see logcat.Denial), valid for sender uid when text is set.
+type cachedDenial struct {
+	uid    int
+	text   string
+	target intent.ComponentName
+}
+
+// count returns how many denials are cached.
+func (g *gateDenials) count() int {
+	n := 0
+	for _, d := range g.protected {
+		if d.text != "" {
+			n++
+		}
 	}
-	msg := build()
-	o.gateMsgs[k] = msg
-	return msg
+	for _, d := range [...]*cachedDenial{&g.notFound[0], &g.notFound[1], &g.notExported, &g.permission} {
+		if d.text != "" {
+			n++
+		}
+	}
+	return n
+}
+
+// clone returns a copy that shares no storage with g.
+func (g gateDenials) clone() gateDenials {
+	g.protected = append([]cachedDenial(nil), g.protected...)
+	return g
+}
+
+// cloneComps deep-copies a component state table.
+func cloneComps(dst, src []compState) []compState {
+	dst = append(dst[:0], src...)
+	for i := range dst {
+		dst[i].denials = dst[i].denials.clone()
+	}
+	return dst
+}
+
+// slot returns the dispatch state of the component with registry ID id,
+// growing the table when the registry has assigned IDs since.
+func (o *OS) slot(id int) *compState {
+	if id >= len(o.comps) {
+		o.comps = append(o.comps, make([]compState, o.reg.IDs()-len(o.comps))...)
+	}
+	return &o.comps[id]
+}
+
+// logDenial logs the denial cached in d for sender uid, rendering it with
+// build first when it is missing or was rendered for another uid.
+func (o *OS) logDenial(d *cachedDenial, uid int, build func() string) {
+	if d.text == "" || d.uid != uid {
+		p := logcat.Denial(build())
+		*d = cachedDenial{uid: uid, text: p.Text, target: p.Comp}
+	}
+	o.log.LogLazy(1000, 1000, logcat.Warn, logcat.TagActivityManager,
+		&logcat.Payload{Op: logcat.MsgDenied, Comp: d.target, Text: d.text})
 }
 
 // spanSampleEvery is the dispatch span sampling rate (power of two). A span
@@ -326,22 +376,17 @@ func newKernel(cfg Config, clock *vclock.Virtual, buf *logcat.Buffer) *OS {
 		tracer = telemetry.NewTracer(nil, telemetry.DefaultSpanCapacity)
 	}
 	o := &OS{
-		cfg:          cfg,
-		clock:        clock,
-		buf:          buf,
-		log:          log,
-		tel:          tel,
-		tracer:       tracer,
-		reg:          manifest.NewRegistry(),
-		perms:        manifest.NewPermissionRegistry(manifest.StandardPermissions...),
-		router:       binder.NewRouter(),
-		procs:        newProcessTable(2000),
-		handlers:     make(map[intent.ComponentName]Handler),
-		traits:       make(map[intent.ComponentName]ComponentTraits),
-		bindHandlers: make(map[intent.ComponentName]BindHandler),
-		lastDeliver:  make(map[int]intent.ComponentName),
-		dropbox:      newDropBox(),
-		gateMsgs:     make(map[gateKey]string),
+		cfg:     cfg,
+		clock:   clock,
+		buf:     buf,
+		log:     log,
+		tel:     tel,
+		tracer:  tracer,
+		reg:     manifest.NewRegistry(),
+		perms:   manifest.NewPermissionRegistry(manifest.StandardPermissions...),
+		router:  binder.NewRouter(),
+		procs:   newProcessTable(2000),
+		dropbox: newDropBox(),
 	}
 	o.sysSrv = newSystemServer(cfg.Aging, clock.Now, log)
 	o.sysSrv.requestReboot = o.reboot
@@ -363,11 +408,25 @@ func newKernel(cfg Config, clock *vclock.Virtual, buf *logcat.Buffer) *OS {
 	o.router.SetTelemetry(tel)
 	o.buf.SetTelemetry(tel)
 	o.buf.OnFirstDrop(func(capacity int) {
-		fmt.Fprintf(os.Stderr,
-			"wearos: logcat ring full (capacity %d): oldest lines are being dropped and stay invisible to the analyzer\n",
-			capacity)
+		fmt.Fprintln(os.Stderr, ringFullWarning(capacity))
 	})
 	return o
+}
+
+// ringFullWarning is the operator message for a device's first logcat
+// eviction. The streaming analyzer and triage consume every line as it is
+// appended, so they lose nothing; only readers of the retained ring do.
+func ringFullWarning(capacity int) string {
+	return fmt.Sprintf("wearos: logcat ring full (capacity %d): oldest lines are being dropped "+
+		"from the ring, so logcat dumps, snapshots and adb pulls will miss them "+
+		"(the streaming analyzer and triage have already consumed them)", capacity)
+}
+
+// DroppedSummary is the end-of-run line reporting how many lines full
+// logcat rings evicted during a run (see ringFullWarning).
+func DroppedSummary(dropped uint64) string {
+	return fmt.Sprintf("logcat: %d lines dropped from full device rings "+
+		"(missing from dumps, snapshots and adb pulls; the analyzer and triage saw every line)", dropped)
 }
 
 func (o *OS) logBootSequence() {
@@ -512,8 +571,8 @@ func (o *OS) InstallPackage(pkg *manifest.Package) error {
 // RegisterHandler attaches the behaviour handler and traits for a
 // component. Components without handlers behave as graceful no-ops.
 func (o *OS) RegisterHandler(cn intent.ComponentName, h Handler, tr ComponentTraits) {
-	o.handlers[cn] = h
-	o.traits[cn] = tr
+	st := o.slot(o.reg.Intern(cn))
+	st.handler, st.traits, st.hasHandler = h, tr, true
 }
 
 // ensureProcess starts the app process on demand, like zygote forking on
@@ -617,8 +676,8 @@ func (o *OS) FlushTelemetry() {
 // only fields the lazy payload cannot carry) store structure instead of
 // rendered text; anything richer falls back to eager formatting.
 func (o *OS) logDispatch(verb string, in *intent.Intent) {
-	if len(in.Categories) == 0 && in.Type == "" && in.Flags == 0 {
-		o.log.LogLazy(1000, 1000, logcat.Info, logcat.TagActivityManager, logcat.Payload{
+	if len(in.Categories) == 0 && in.Type == "" && in.Flags == 0 && in.SenderUID == int(int32(in.SenderUID)) {
+		o.log.LogLazy(1000, 1000, logcat.Info, logcat.TagActivityManager, &logcat.Payload{
 			Op:        logcat.MsgDispatch,
 			Verb:      verb,
 			Act:       in.Action,
@@ -626,7 +685,7 @@ func (o *OS) logDispatch(verb string, in *intent.Intent) {
 			HasData:   !in.Data.IsZero(),
 			Comp:      in.Component,
 			HasExtras: in.Extras.Len() > 0,
-			UID:       in.SenderUID,
+			UID:       int32(in.SenderUID),
 		})
 		return
 	}
@@ -644,7 +703,7 @@ func (o *OS) deliver(in *intent.Intent, kind manifest.ComponentType, verb string
 	if sp != nil {
 		pc = sp.Child("permission-check")
 	}
-	comp, blocked := o.gate(in, kind)
+	comp, id, blocked := o.gate(in, kind)
 	pc.End()
 	if blocked != 0 {
 		return blocked
@@ -652,18 +711,18 @@ func (o *OS) deliver(in *intent.Intent, kind manifest.ComponentType, verb string
 
 	// 4. Process bring-up and delivery bookkeeping.
 	proc := o.ensureProcess(comp.Name.Package)
-	o.lastDeliver[proc.PID] = comp.Name
-	o.log.LogLazy(1000, 1000, logcat.Info, logcat.TagActivityManager, logcat.Payload{
+	proc.lastDelivered, proc.delivered = comp.Name, true
+	o.log.LogLazy(1000, 1000, logcat.Info, logcat.TagActivityManager, &logcat.Payload{
 		Op:   logcat.MsgDelivering,
 		Verb: comp.Type.String(),
 		Comp: comp.Name,
-		PID:  proc.PID,
+		PID:  int32(proc.PID),
 	})
 
 	// 5. Handler execution.
-	h := o.handlers[comp.Name]
+	st := o.slot(id)
 	var out Outcome
-	if h != nil {
+	if h := st.handler; h != nil {
 		var hs *telemetry.Span
 		if sp != nil {
 			hs = sp.Child("handler:" + comp.Flat())
@@ -672,12 +731,11 @@ func (o *OS) deliver(in *intent.Intent, kind manifest.ComponentType, verb string
 		out = h(&o.env, in)
 		hs.End()
 	}
-	tr := o.traits[comp.Name]
 	var ss *telemetry.Span
 	if sp != nil {
 		ss = sp.Child("settle")
 	}
-	result := o.settle(proc, comp, tr, out)
+	result := o.settle(proc, comp, o.reg.PackageByID(id), st.traits, out)
 	ss.End()
 
 	// 6. Aging consequences are applied; a pending reboot tears the device
@@ -690,74 +748,108 @@ func (o *OS) deliver(in *intent.Intent, kind manifest.ComponentType, verb string
 
 // gate applies the pre-delivery Android checks (protected action,
 // resolution, export/permission) and returns either the resolved component
-// or the blocking DeliveryResult (zero when delivery may proceed).
-func (o *OS) gate(in *intent.Intent, kind manifest.ComponentType) (*manifest.Component, DeliveryResult) {
+// and its registry ID or the blocking DeliveryResult (zero when delivery
+// may proceed).
+func (o *OS) gate(in *intent.Intent, kind manifest.ComponentType) (*manifest.Component, int, DeliveryResult) {
 	// Denial lines are deterministic per (component, action, uid, kind), so
-	// each distinct one is rendered once via gateMsg and then replayed from
-	// the cache; Log passes a plain message through without reformatting.
+	// each distinct one is rendered once into the target's gate cache and
+	// then replayed from there as a lazy entry. Targets the registry has
+	// never seen have no cache and render every time.
+	id, known := -1, false
+	if in.IsExplicit() {
+		id, known = o.reg.ID(in.Component)
+	}
+	var cache *gateDenials
+	if known {
+		cache = &o.slot(id).denials
+	}
 
 	// 1. Protected actions are reserved for the OS; QGJ (an unprivileged
 	// app) sending e.g. ACTION_BATTERY_LOW gets a SecurityException and the
 	// intent is ignored — "the specified and secure behavior" (Section IV-A).
-	if intent.IsProtected(in.Action) && in.SenderUID != UIDSystem {
-		msg := o.gateMsg(gateKey{comp: in.Component, action: in.Action, uid: in.SenderUID, reason: gateProtected},
-			func() string {
-				thr := javalang.Newf(javalang.ClassSecurity,
-					"Permission Denial: not allowed to send broadcast %s from pid=?, uid=%d", in.Action, in.SenderUID)
-				return thr.Error() + " targeting " + in.Component.FlattenToString()
-			})
-		o.log.Log(1000, 1000, logcat.Warn, logcat.TagActivityManager, msg)
+	if act := in.ActionInfo(); act.Protected() && in.SenderUID != UIDSystem {
+		// The javalang.Newf(ClassSecurity, "Permission Denial: not allowed
+		// to send broadcast %s from pid=?, uid=%d") line, spelled out with
+		// appends: a fresh campaign unit renders every protected action
+		// once per component.
+		build := func() string {
+			line := make([]byte, 0, 160)
+			line = append(line, javalang.ClassSecurity...)
+			line = append(line, ": Permission Denial: not allowed to send broadcast "...)
+			line = append(line, in.Action...)
+			line = append(line, " from pid=?, uid="...)
+			line = strconv.AppendInt(line, int64(in.SenderUID), 10)
+			line = append(line, " targeting "...)
+			line = append(line, in.Component.FlattenToString()...)
+			return string(line)
+		}
+		d := &cachedDenial{}
+		if cache != nil {
+			if cache.protected == nil {
+				cache.protected = make([]cachedDenial, intent.ProtectedActionCount)
+			}
+			d = &cache.protected[act.ProtectedIndex()]
+		}
+		o.logDenial(d, in.SenderUID, build)
 		o.rec.RecordNow(telemetry.EventDenial, in.Component.Class, in.Action, "protected-action")
-		return nil, BlockedSecurity
+		return nil, 0, BlockedSecurity
 	}
 
 	// 2. Resolution.
-	comp := o.reg.Resolve(in, kind)
+	var comp *manifest.Component
+	if known {
+		if comp = o.reg.ByID(id); comp != nil && comp.Type != kind {
+			comp = nil
+		}
+	} else if !in.IsExplicit() {
+		if comp = o.reg.Resolve(in, kind); comp != nil {
+			id, _ = o.reg.ID(comp.Name)
+		}
+	}
 	if comp == nil {
-		msg := o.gateMsg(gateKey{comp: in.Component, kind: kind, reason: gateNotFound},
-			func() string {
-				if kind == manifest.Activity {
-					return javalang.Newf(javalang.ClassActivityNotFound,
-						"Unable to find explicit activity class %s; have you declared this activity in your AndroidManifest.xml?",
-						in.Component.FlattenToString()).Error()
-				}
-				return "Unable to start service " + in.Component.FlattenToString() + ": not found"
-			})
-		o.log.Log(1000, 1000, logcat.Warn, logcat.TagActivityManager, msg)
+		build := func() string {
+			if kind == manifest.Activity {
+				return javalang.Newf(javalang.ClassActivityNotFound,
+					"Unable to find explicit activity class %s; have you declared this activity in your AndroidManifest.xml?",
+					in.Component.FlattenToString()).Error()
+			}
+			return "Unable to start service " + in.Component.FlattenToString() + ": not found"
+		}
+		d := &cachedDenial{}
+		if cache != nil && (kind == manifest.Activity || kind == manifest.Service) {
+			d = &cache.notFound[kind-manifest.Activity]
+		}
+		o.logDenial(d, 0, build)
 		o.rec.RecordNow(telemetry.EventDenial, in.Component.Class, in.Action, "not-found")
-		return nil, BlockedNotFound
+		return nil, 0, BlockedNotFound
 	}
 
 	// 3. Export / permission checks on the target component.
-	if !comp.Exported && in.SenderUID != UIDSystem {
-		msg := o.gateMsg(gateKey{comp: comp.Name, uid: in.SenderUID, reason: gateNotExported},
-			func() string {
+	if in.SenderUID != UIDSystem && (!comp.Exported || comp.Permission != "") {
+		cache = &o.slot(id).denials
+		if !comp.Exported {
+			o.logDenial(&cache.notExported, in.SenderUID, func() string {
 				thr := javalang.Newf(javalang.ClassSecurity,
 					"Permission Denial: %s not exported from uid %d", comp.Flat(), in.SenderUID)
 				return thr.Error() + " targeting " + comp.Flat()
 			})
-		o.log.Log(1000, 1000, logcat.Warn, logcat.TagActivityManager, msg)
-		o.rec.RecordNow(telemetry.EventDenial, in.Component.Class, in.Action, "not-exported")
-		return nil, BlockedSecurity
-	}
-	if comp.Permission != "" && in.SenderUID != UIDSystem {
-		msg := o.gateMsg(gateKey{comp: comp.Name, uid: in.SenderUID, reason: gateNeedsPermission},
-			func() string {
-				thr := javalang.Newf(javalang.ClassSecurity,
-					"Permission Denial: starting %s requires %s", comp.Flat(), comp.Permission)
-				return thr.Error() + " targeting " + comp.Flat()
-			})
-		o.log.Log(1000, 1000, logcat.Warn, logcat.TagActivityManager, msg)
+			o.rec.RecordNow(telemetry.EventDenial, in.Component.Class, in.Action, "not-exported")
+			return nil, 0, BlockedSecurity
+		}
+		o.logDenial(&cache.permission, in.SenderUID, func() string {
+			thr := javalang.Newf(javalang.ClassSecurity,
+				"Permission Denial: starting %s requires %s", comp.Flat(), comp.Permission)
+			return thr.Error() + " targeting " + comp.Flat()
+		})
 		o.rec.RecordNow(telemetry.EventDenial, in.Component.Class, in.Action, "needs-permission")
-		return nil, BlockedSecurity
+		return nil, 0, BlockedSecurity
 	}
-	return comp, 0
+	return comp, id, 0
 }
 
 // settle converts a handler outcome into logs, process state changes, and a
-// DeliveryResult.
-func (o *OS) settle(proc *Process, comp *manifest.Component, tr ComponentTraits, out Outcome) DeliveryResult {
-	pkg := o.reg.Package(comp.Name.Package)
+// DeliveryResult. pkg is the package declaring comp.
+func (o *OS) settle(proc *Process, comp *manifest.Component, pkg *manifest.Package, tr ComponentTraits, out Outcome) DeliveryResult {
 	builtIn := pkg != nil && pkg.Origin == manifest.BuiltIn
 
 	// ANR takes precedence: the looper wedged before anything else could be
@@ -795,9 +887,9 @@ func (o *OS) settle(proc *Process, comp *manifest.Component, tr ComponentTraits,
 		return DeliveredNoEffect
 	case out.Caught:
 		// Handled gracefully: the app logs it and moves on.
-		o.log.LogLazy(proc.PID, proc.PID, logcat.Warn, proc.Name, logcat.Payload{
-			Op:  logcat.MsgCaught,
-			Err: out.Thrown.Error(),
+		o.log.LogLazy(proc.PID, proc.PID, logcat.Warn, proc.Name, &logcat.Payload{
+			Op:   logcat.MsgCaught,
+			Text: out.Thrown.Error(),
 		})
 		o.sysSrv.RecordStartSuccess(comp.Name)
 		return DeliveredHandledException
@@ -805,10 +897,10 @@ func (o *OS) settle(proc *Process, comp *manifest.Component, tr ComponentTraits,
 		// Validation refusal: the exception crosses the IPC boundary back
 		// to the sender. Logged by the system with component attribution so
 		// the analyzer can count it (Fig. 2), but nothing crashes.
-		o.log.LogLazy(1000, 1000, logcat.Warn, logcat.TagActivityManager, logcat.Payload{
+		o.log.LogLazy(1000, 1000, logcat.Warn, logcat.TagActivityManager, &logcat.Payload{
 			Op:   logcat.MsgRejected,
 			Comp: comp.Name,
-			Err:  out.Thrown.Error(),
+			Text: out.Thrown.Error(),
 		})
 		o.sysSrv.RecordStartSuccess(comp.Name)
 		return DeliveredRejected
@@ -864,7 +956,9 @@ func (o *OS) reboot(reason string) {
 	o.rec.RecordNow(telemetry.EventReboot, "system_server", "", reason)
 	o.sysSrv.resetAfterBoot()
 	o.sensor.Restart(o.procs.allocPID())
-	o.lastDeliver = make(map[int]intent.ComponentName)
+	for _, p := range o.procs.byPID {
+		p.delivered = false
+	}
 	// Boot takes a while even on a watch.
 	o.clock.Advance(20 * time.Second)
 	o.logBootSequence()
@@ -874,6 +968,9 @@ func (o *OS) reboot(reason string) {
 // the process with the given PID; used by diagnostics and tests (the log
 // analyzer reconstructs the same mapping from ActivityManager entries).
 func (o *OS) LastDelivered(pid int) (intent.ComponentName, bool) {
-	cn, ok := o.lastDeliver[pid]
-	return cn, ok
+	p := o.procs.byPID[pid]
+	if p == nil || !p.delivered {
+		return intent.ComponentName{}, false
+	}
+	return p.lastDelivered, true
 }

@@ -11,6 +11,8 @@ package wearos
 
 import (
 	"time"
+
+	"repro/internal/intent"
 )
 
 // Well-known Android UIDs.
@@ -36,6 +38,10 @@ type Process struct {
 	// delivery landing inside a busy window models the queueing delay that
 	// precedes an ANR.
 	busyUntil time.Time
+	// lastDelivered is the last component an intent was delivered to in
+	// this process since boot, when delivered is set (OS.LastDelivered).
+	lastDelivered intent.ComponentName
+	delivered     bool
 }
 
 // Busy reports whether the process's main looper is occupied at now.

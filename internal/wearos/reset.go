@@ -19,10 +19,10 @@ package wearos
 //     Snapshot time — the catch-all tripwire for any state surface a future
 //     subsystem adds without teaching the reset about it.
 //
-// The gate-denial render cache (gateMsgs) is deliberately retained across
-// resets: entries are a pure function of their key, so a warm cache is
-// observably identical to a cold one. It is excluded from the state hash
-// for the same reason.
+// The per-component state table — handlers, traits, bind handlers and the
+// gate-denial render caches — is indexed by registry component IDs, which a
+// reset reassigns, so it is restored from the snapshot like everything else
+// and covered by the state hash.
 
 import (
 	"math"
@@ -63,15 +63,23 @@ func (o *OS) resetStateHash() uint64 {
 	mix(o.buf.Dropped())
 
 	mix(uint64(o.reg.Count()))
+	mix(uint64(o.reg.IDs()))
 	mix(uint64(o.perms.Count()))
-	mix(uint64(len(o.handlers)))
-	mix(uint64(len(o.traits)))
-	mix(uint64(len(o.bindHandlers)))
+	mix(uint64(len(o.comps)))
+	var handlers, binds, denials uint64
+	for i := range o.comps {
+		st := &o.comps[i]
+		handlers += bit(st.hasHandler)
+		binds += bit(st.hasBind)
+		denials += uint64(st.denials.count())
+	}
+	mix(handlers)
+	mix(binds)
+	mix(denials)
 
 	mix(uint64(o.procs.nextPID))
 	mix(uint64(len(o.procs.byName)))
 	mix(uint64(len(o.procs.byPID)))
-	mix(uint64(len(o.lastDeliver)))
 
 	mix(uint64(o.sensor.PID()))
 	mix(uint64(o.sensor.State()))
@@ -121,9 +129,9 @@ func (o *OS) resetStateHash() uint64 {
 // The reset restores every mutable subsystem Clone would build: clock,
 // logcat ring (backing array retained), telemetry registry, binder router,
 // process table, sensor service, package/permission registries, handler
-// tables, dropbox, and the system server's aging state. The final state
-// hash comparison against the value captured at Snapshot time is the
-// equivalence proof.
+// and gate-denial tables, dropbox, and the system server's aging state. The
+// final state hash comparison against the value captured at Snapshot time
+// is the equivalence proof.
 func (o *OS) ResetTo(s *Snapshot) bool {
 	if o.cfg != s.cfg {
 		return false
@@ -170,24 +178,13 @@ func (o *OS) ResetTo(s *Snapshot) bool {
 	o.sensor.ResetRestart(s.sensorPID)
 
 	o.reg.Clear()
-	for _, pkg := range s.packages {
-		// Same contract as Clone: the packages were validated at template
-		// install time, so an error here is a programming bug.
-		if err := o.reg.Install(pkg); err != nil {
-			panic("wearos: reset re-install: " + err.Error())
-		}
-	}
+	s.restoreRegistry(o.reg, "reset")
 	o.perms.Reset(s.perms)
-
-	restoreMap(o.handlers, s.handlers)
-	restoreMap(o.traits, s.traits)
-	restoreMap(o.bindHandlers, s.bindHandlers)
-	// gateMsgs intentionally retained (see package comment).
+	o.comps = cloneComps(o.comps, s.comps)
 
 	o.bootTime = s.bootTime
 	o.rebootLog = append(o.rebootLog[:0], s.rebootLog...)
 	o.dispatchSeq = s.dispatchSeq
-	clear(o.lastDeliver)
 	o.dropbox.entries = append(o.dropbox.entries[:0], s.dropbox...)
 
 	o.sysSrv.instability = s.aging.instability

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/intent"
 	"repro/internal/javalang"
 	"repro/internal/manifest"
 	"repro/internal/sensors"
@@ -184,5 +185,61 @@ func TestResetHashTripwire(t *testing.T) {
 	// leaves a clean device reusable.
 	if !dev.ResetTo(snap) {
 		t.Fatal("device unusable after a tripwire rejection")
+	}
+}
+
+// TestComponentTableSurvivesCloneAndReset pins the dense-ID component table
+// through both rebuild paths. The template registers a handler for the
+// worker service before installing its package, so the registry's IDs
+// follow first sight (worker first), not install order; it also warms a
+// gate-denial cache entry. Clone and ResetTo must rebuild the same IDs, so
+// the handler stays attached to the worker and the template's cached
+// denial stays attached to the activity — and a dirtied device's own
+// handlers and denials must not survive the reset.
+func TestComponentTableSurvivesCloneAndReset(t *testing.T) {
+	worker, main := cn("com.test.app", "Worker"), cn("com.test.app", "MainActivity")
+	template := New(DefaultWatchConfig())
+	template.RegisterHandler(worker, func(env *Env, in *intent.Intent) Outcome {
+		return Outcome{Thrown: javalang.New(javalang.ClassIllegalArgument, "worker says no"), Rejected: true}
+	}, ComponentTraits{})
+	if err := template.InstallPackage(snapTestPackage()); err != nil {
+		t.Fatal(err)
+	}
+	if got := template.StartActivity(explicit(main, "android.intent.action.BATTERY_LOW")); got != BlockedSecurity {
+		t.Fatalf("template protected send = %v", got)
+	}
+	snap, err := template.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	check := func(name string, o *OS) {
+		t.Helper()
+		if got := o.StartService(explicit(worker, "")); got != DeliveredRejected {
+			t.Fatalf("%s: worker delivery = %v, want the template handler's rejection", name, got)
+		}
+		if got := o.StartActivity(explicit(main, "")); got != DeliveredNoEffect {
+			t.Fatalf("%s: activity delivery = %v, want no effect", name, got)
+		}
+		if got := o.StartActivity(explicit(main, "android.intent.action.BATTERY_LOW")); got != BlockedSecurity {
+			t.Fatalf("%s: protected send = %v", name, got)
+		}
+		if !strings.Contains(o.Logcat().Dump(), "worker says no") {
+			t.Fatalf("%s: handler output missing from logcat", name)
+		}
+	}
+	check("clone", snap.Clone())
+
+	reused := snap.Clone()
+	reused.RegisterHandler(main, func(env *Env, in *intent.Intent) Outcome {
+		return Outcome{Thrown: javalang.New(javalang.ClassNullPointer, "leaked handler"), Caught: true}
+	}, ComponentTraits{})
+	dirtyDevice(t, reused)
+	if !reused.ResetTo(snap) {
+		t.Fatal("ResetTo retired a device that only ran a workload")
+	}
+	check("reset", reused)
+	if strings.Contains(reused.Logcat().Dump(), "leaked handler") {
+		t.Fatal("a handler registered after the snapshot survived ResetTo")
 	}
 }

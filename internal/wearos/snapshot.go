@@ -61,10 +61,10 @@ type Snapshot struct {
 	packages []*manifest.Package // install order
 	perms    []string
 
-	handlers     map[intent.ComponentName]Handler
-	traits       map[intent.ComponentName]ComponentTraits
-	bindHandlers map[intent.ComponentName]BindHandler
-	gateMsgs     map[gateKey]string
+	// compNames lists the registry's interned component names in ID order;
+	// comps is the per-component state table indexed by those IDs.
+	compNames []intent.ComponentName
+	comps     []compState
 
 	nextPID   int
 	sensorPID int
@@ -99,23 +99,26 @@ func (o *OS) Snapshot() (*Snapshot, error) {
 		return nil, fmt.Errorf("wearos: snapshot of non-quiescent device: %d pending timers", n)
 	}
 
+	// Settle the batched dispatch tallies into the device's own counters:
+	// clones and reset devices start with none pending, and the state hash
+	// covers the pending array.
+	o.flushDispatchCounters()
+
 	s := &Snapshot{
-		cfg:          o.cfg,
-		now:          o.clock.Now(),
-		bootCount:    o.bootCount,
-		bootTime:     o.bootTime,
-		rebootLog:    append([]time.Time(nil), o.rebootLog...),
-		dispatchSeq:  o.dispatchSeq,
-		baseline:     o.buf.Snapshot(),
-		packages:     o.reg.Packages(),
-		perms:        o.perms.List(),
-		handlers:     make(map[intent.ComponentName]Handler, len(o.handlers)),
-		traits:       make(map[intent.ComponentName]ComponentTraits, len(o.traits)),
-		bindHandlers: make(map[intent.ComponentName]BindHandler, len(o.bindHandlers)),
-		gateMsgs:     make(map[gateKey]string, len(o.gateMsgs)),
-		nextPID:      o.procs.nextPID,
-		sensorPID:    o.sensor.PID(),
-		dropbox:      append([]DropBoxEntry(nil), o.dropbox.entries...),
+		cfg:         o.cfg,
+		now:         o.clock.Now(),
+		bootCount:   o.bootCount,
+		bootTime:    o.bootTime,
+		rebootLog:   append([]time.Time(nil), o.rebootLog...),
+		dispatchSeq: o.dispatchSeq,
+		baseline:    o.buf.Snapshot(),
+		packages:    o.reg.Packages(),
+		perms:       o.perms.List(),
+		compNames:   o.reg.Names(),
+		comps:       cloneComps(nil, o.comps),
+		nextPID:     o.procs.nextPID,
+		sensorPID:   o.sensor.PID(),
+		dropbox:     append([]DropBoxEntry(nil), o.dropbox.entries...),
 		aging: agingState{
 			instability:   o.sysSrv.instability,
 			lastDecay:     o.sysSrv.lastDecay,
@@ -127,18 +130,6 @@ func (o *OS) Snapshot() (*Snapshot, error) {
 			rejuvenations: o.sysSrv.rejuvenations,
 			timeline:      append([]InstabilitySample(nil), o.sysSrv.timeline...),
 		},
-	}
-	for k, v := range o.handlers {
-		s.handlers[k] = v
-	}
-	for k, v := range o.traits {
-		s.traits[k] = v
-	}
-	for k, v := range o.bindHandlers {
-		s.bindHandlers[k] = v
-	}
-	for k, v := range o.gateMsgs {
-		s.gateMsgs[k] = v
 	}
 	s.stateHash = o.resetStateHash()
 	return s, nil
@@ -163,29 +154,13 @@ func (s *Snapshot) Clone() *OS {
 	o.sensor.Restart(s.sensorPID)
 	o.procs.nextPID = s.nextPID
 
-	for _, pkg := range s.packages {
-		// Install silently: the template's install log lines are already in
-		// the restored baseline. The packages were validated when the
-		// template installed them, so an error here is a programming bug.
-		if err := o.reg.Install(pkg); err != nil {
-			panic("wearos: clone re-install: " + err.Error())
-		}
-	}
+	// Install silently: the template's install log lines are already in
+	// the restored baseline.
+	s.restoreRegistry(o.reg, "clone")
 	for _, p := range s.perms {
 		o.perms.Register(p)
 	}
-	for k, v := range s.handlers {
-		o.handlers[k] = v
-	}
-	for k, v := range s.traits {
-		o.traits[k] = v
-	}
-	for k, v := range s.bindHandlers {
-		o.bindHandlers[k] = v
-	}
-	for k, v := range s.gateMsgs {
-		o.gateMsgs[k] = v
-	}
+	o.comps = cloneComps(nil, s.comps)
 
 	o.bootCount = s.bootCount
 	o.bootTime = s.bootTime
@@ -205,6 +180,21 @@ func (s *Snapshot) Clone() *OS {
 
 	o.osm.bootCount.Set(float64(o.bootCount))
 	return o
+}
+
+// restoreRegistry makes the empty registry r hold the snapshot's packages
+// under the snapshot's component IDs: the names are interned in ID order
+// first, so the component state table lines up. The packages were validated
+// when the template installed them, so an error here is a programming bug.
+func (s *Snapshot) restoreRegistry(r *manifest.Registry, op string) {
+	for _, name := range s.compNames {
+		r.Intern(name)
+	}
+	for _, pkg := range s.packages {
+		if err := r.Install(pkg); err != nil {
+			panic("wearos: " + op + " re-install: " + err.Error())
+		}
+	}
 }
 
 // copyMap returns a shallow copy of m.

@@ -10,6 +10,11 @@ go vet ./...
 go build ./...
 go test -race ./...
 
+# The benchmark is its own module compiled against the program's internal
+# packages: vet and test it here so a signature change it depends on fails
+# this gate rather than the next benchmark run.
+(cd perfbench && go vet ./... && go test ./...)
+
 # Allocation-regression gate: AllocsPerRun is meaningless under -race (the
 # instrumentation allocates), so the ceilings in alloc_gate_test.go carry a
 # !race build tag and need this separate non-race invocation.
