@@ -40,25 +40,16 @@ func run(args []string) error {
 	uiEvents := fs.Int("ui-events", 0, "QGJ-UI events per mode (0 = the paper's 41405)")
 	ablations := fs.Bool("ablations", false, "also run the extension studies (aging ablations, rejuvenation, validation eras)")
 	jsonOut := fs.String("json", "", "also write machine-readable artifacts to this file (wear+phone+ui exports)")
-	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /vars, /spans, /healthz and /farm on this address while the studies run (farm mode feeds them)")
+	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /vars, /spans, /healthz and /farm on this address while the studies run")
 	linger := fs.Duration("linger", 0, "keep the process (and -metrics-addr endpoint) alive this long after the run")
 	progress := fs.Bool("progress", false, "print rate-limited study progress to stderr")
-	workers := fs.Int("workers", 0, "run the wear/phone studies on the farm engine with this many parallel devices (>1 enables sharding)")
-	checkpoint := fs.String("checkpoint", "", "farm mode: journal completed shards to this file")
-	resume := fs.Bool("resume", false, "farm mode: resume from -checkpoint instead of starting over")
-	snapshotMode := fs.String("snapshot", "on", "farm mode: clone shard devices from a booted snapshot (on) or boot each fresh (off); results are identical")
-	persistMode := fs.String("persist", "on", "farm mode: reuse each worker's device across shards via in-place reset (on) or clone per shard (off); results are identical")
+	workers := fs.Int("workers", 1, "parallel devices the farm runs the wear/phone studies on (results are identical for any count)")
+	checkpoint := fs.String("checkpoint", "", "journal the wear study's completed shards to this file")
+	resume := fs.Bool("resume", false, "resume the wear study from -checkpoint instead of starting over")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *snapshotMode != "on" && *snapshotMode != "off" {
-		return fmt.Errorf("-snapshot must be on or off, got %q", *snapshotMode)
-	}
-	if *persistMode != "on" && *persistMode != "off" {
-		return fmt.Errorf("-persist must be on or off, got %q", *persistMode)
-	}
-	sharding := core.Sharding{Workers: *workers, Checkpoint: *checkpoint, Resume: *resume,
-		DisableSnapshot: *snapshotMode == "off", DisablePersist: *persistMode == "off"}
+	sharding := core.Sharding{Workers: *workers, Checkpoint: *checkpoint, Resume: *resume}
 	if *resume && *checkpoint == "" {
 		return fmt.Errorf("-resume requires -checkpoint")
 	}
@@ -73,10 +64,7 @@ func run(args []string) error {
 	}
 
 	// The live-observability surface: one registry and one shard status
-	// board shared by every farm-backed study in this invocation. Serial
-	// (unsharded) studies run their own per-device registries and leave
-	// these empty — the endpoints still answer, which is what a scrape
-	// harness wants.
+	// board shared by the wear and phone studies of this invocation.
 	var reg *telemetry.Registry
 	var board *farm.StatusBoard
 	if *metricsAddr != "" {

@@ -227,6 +227,7 @@ type Collector struct {
 	securityTotal  *telemetry.Counter
 	rebootsTotal   *telemetry.Counter
 	consumeSeconds *telemetry.Histogram
+	consumed       uint64 // entries seen while consumeSeconds is set
 	manifest       map[Manifestation]*telemetry.Gauge
 	levels         map[intent.ComponentName]Manifestation
 }
@@ -327,10 +328,26 @@ func (c *Collector) component(cn intent.ComponentName) *ComponentReport {
 	return cr
 }
 
+// consumeSampleEvery is the stride of the analysis_consume_seconds sample:
+// reading the clock twice per entry would cost more than classifying it.
+const consumeSampleEvery = 64
+
 func (c *Collector) consume(e *logcat.Entry) {
-	if c.consumeSeconds != nil {
-		defer telemetry.Time(c.consumeSeconds)()
+	if c.consumeSeconds == nil {
+		c.classify(e)
+		return
 	}
+	if c.consumed++; c.consumed%consumeSampleEvery != 0 {
+		c.classify(e)
+		return
+	}
+	start := time.Now()
+	c.classify(e)
+	c.consumeSeconds.Observe(time.Since(start).Seconds())
+}
+
+// classify folds one entry into the report.
+func (c *Collector) classify(e *logcat.Entry) {
 	c.report.Entries++
 	c.entriesTotal.Inc()
 	if e.Payload.Op != logcat.MsgEager {

@@ -4,13 +4,12 @@ package core
 // themselves stay single-threaded (one simulated device is not safe for
 // concurrent use); sharding instead partitions a study into independent
 // (campaign, package) work units that internal/farm executes on a pool of
-// independently-booted devices. The zero value means "serial, no
-// checkpointing" and preserves the historical behaviour.
+// devices, one per worker. The zero value runs one worker without a
+// checkpoint.
 type Sharding struct {
-	// Workers is the number of concurrent shard executors. 0 means unset
-	// (serial legacy path unless a Checkpoint is given); an explicit 1 runs
-	// the farm's serial baseline — same shard plan and merge, one device at
-	// a time.
+	// Workers is the number of concurrent shard executors; 0 means 1, the
+	// farm's serial baseline (same shard plan and merge, one device at a
+	// time).
 	Workers int
 	// Checkpoint, when non-empty, is the journal file progress is written to
 	// after every completed shard — the moral equivalent of the paper's
@@ -19,28 +18,11 @@ type Sharding struct {
 	// Resume loads the Checkpoint journal and skips shards it already
 	// records, so a killed run continues exactly where it stopped.
 	Resume bool
-	// DisableSnapshot forces every shard onto the fresh-boot path instead of
-	// cloning a booted template device. The merged result is byte-identical
-	// either way; the switch exists for benchmarking the speedup and for
-	// bisecting suspected snapshot bugs. Like Workers, it is an execution
-	// strategy, not part of the work's identity: it is excluded from the
-	// checkpoint fingerprint, so journals written in either mode resume
-	// cleanly in the other.
-	DisableSnapshot bool
-	// DisablePersist turns off the persistent executor: every shard gets its
-	// own clone of the template device instead of each worker resetting one
-	// hot device in place between the shards it leases. Meaningless when
-	// DisableSnapshot is set (the fresh-boot path never reuses anything).
-	// Like DisableSnapshot, it is an execution strategy, not part of the
-	// work's identity: the merged result is byte-identical either way
-	// (reset validity is hash-checked, with transparent fallback to a fresh
-	// clone), and it is excluded from the checkpoint fingerprint, so
-	// journals written in either mode resume cleanly in the other.
-	DisablePersist bool
 }
 
-// Enabled reports whether the study should be routed through the farm
-// (parallel workers or a checkpoint journal were requested).
+// Enabled reports whether any farm option was set (workers, a checkpoint
+// journal, or resume); qgj uses it to choose between its single-device
+// Figure 1a workflow and the farm.
 func (s Sharding) Enabled() bool {
 	return s.Workers > 0 || s.Checkpoint != "" || s.Resume
 }

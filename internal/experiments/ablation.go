@@ -20,9 +20,7 @@ import (
 // better compared to [8] where NullPointerExceptions contributed to 46% of
 // all exceptions...", Section IV-E).
 func RunLegacyPhoneStudy(opts Options) (*StudyResult, error) {
-	fleet := apps.BuildLegacyPhoneFleet(opts.Seed)
-	dev := wearos.New(wearos.DefaultPhoneConfig())
-	return runStudy(fleet, dev, opts)
+	return runFarmStudy(apps.LegacyPhoneFleet, opts)
 }
 
 // ValidationEraComparison summarizes the historical contrast: NPE's share

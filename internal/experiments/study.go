@@ -1,22 +1,17 @@
-// Package experiments runs the paper's studies end-to-end: build a fleet,
-// boot a simulated device, drive QGJ's campaigns against every app,
-// analyze the logs, and aggregate the tables and figures. Both the
-// benchmark harness (bench_test.go) and cmd/report regenerate every paper
-// artifact through this package.
+// Package experiments runs the paper's studies end-to-end: shard QGJ's
+// campaigns against every app of a fleet onto the farm engine
+// (internal/farm), analyze the logs, and aggregate the tables and
+// figures. Both the benchmark harness (bench_test.go) and cmd/report
+// regenerate every paper artifact through this package.
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/analysis"
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/farm"
-	"repro/internal/logcat"
-	"repro/internal/manifest"
 	"repro/internal/telemetry"
 	"repro/internal/triage"
-	"repro/internal/wearos"
 )
 
 // Options configures a study run.
@@ -31,18 +26,17 @@ type Options struct {
 	// Campaigns optionally restricts the run to the listed FICs; nil runs
 	// all four in Table I order.
 	Campaigns []core.Campaign
-	// Progress, when non-nil, is called after each (campaign, app) unit.
+	// Progress, when non-nil, is called after each (campaign, app) shard,
+	// in completion order.
 	Progress func(campaign core.Campaign, pkg string, sentSoFar int)
-	// Sharding, when enabled (workers > 1 or a checkpoint path), routes the
-	// study through the farm engine: device-per-shard parallel execution
-	// with checkpoint/resume and crash triage. See docs/farm.md for how the
-	// farm's results relate to the serial single-device study.
+	// Sharding sets the farm's worker count and checkpoint journal.
 	Sharding core.Sharding
-	// Telemetry, when non-nil, receives farm execution metrics (farm mode
-	// only; the serial path's device carries its own registry).
+	// Telemetry, when non-nil, receives the farm's execution metrics; nil
+	// gives the study a private registry. Either way StudyResult.Telemetry
+	// snapshots it when the study ends.
 	Telemetry *telemetry.Registry
 	// Status, when non-nil, is kept current with the farm's live shard
-	// table (farm mode only) — serve it with farm.StatusHandler.
+	// table — serve it with farm.StatusHandler.
 	Status *farm.StatusBoard
 }
 
@@ -57,26 +51,26 @@ type CampaignOutcome struct {
 
 // StudyResult is the complete outcome of one fuzzing study.
 type StudyResult struct {
-	Fleet *apps.Fleet
-	// Device is the single simulated device of a serial run; nil for farm
-	// runs, which boot one device per shard.
-	Device    *wearos.OS
+	Fleet     *apps.Fleet
 	Campaigns []CampaignOutcome
 	// Combined merges the per-campaign reports (Figs. 2-4, Table IV).
 	Combined *analysis.Report
 	Sent     int
-	// Triage holds deduplicated crash buckets (farm runs only; nil for the
-	// serial path).
+	// Triage holds deduplicated crash buckets.
 	Triage *triage.Result
-	// Sharding describes how a farm run executed; nil for serial runs.
+	// Sharding describes how the farm executed the study.
 	Sharding *ShardingInfo
+	// Telemetry snapshots the farm registry the study ran with (device,
+	// fuzzer and farm metrics aggregated over every shard), taken when the
+	// study ended.
+	Telemetry *telemetry.Snapshot
 	// LogDropped counts the lines full logcat rings evicted during the
 	// study (see farm.Result.LogDropped). The analyzers consumed every
 	// line as it was logged; only readers of the retained ring miss them.
 	LogDropped uint64
 }
 
-// ShardingInfo records how a farm-backed study was executed.
+// ShardingInfo records how a study was executed.
 type ShardingInfo struct {
 	Workers    int
 	Shards     int
@@ -103,92 +97,71 @@ func (sr *StudyResult) CampaignOutcomeFor(c core.Campaign) *CampaignOutcome {
 	return nil
 }
 
-// switchSink forwards log entries to a swappable target, so each campaign
-// gets its own streaming collector without re-subscribing.
-type switchSink struct {
-	target logcat.Sink
-}
-
-func (s *switchSink) Consume(e logcat.Entry) {
-	if s.target != nil {
-		s.target.Consume(e)
-	}
-}
-
 // RunWearStudy executes the QGJ-Master study on the simulated watch: all
-// four campaigns against the Table II fleet. With sharding enabled the
-// study runs on the farm engine instead of a single device.
+// four campaigns against the Table II fleet.
 func RunWearStudy(opts Options) (*StudyResult, error) {
-	if opts.Sharding.Enabled() {
-		return runFarmStudy(apps.WearFleet, opts)
-	}
-	fleet := apps.BuildWearFleet(opts.Seed)
-	dev := wearos.New(wearos.DefaultWatchConfig())
-	return runStudy(fleet, dev, opts)
+	return runFarmStudy(apps.WearFleet, opts)
 }
 
 // RunPhoneStudy executes the comparison study on the simulated Android
 // phone (Table IV).
 func RunPhoneStudy(opts Options) (*StudyResult, error) {
-	if opts.Sharding.Enabled() {
-		return runFarmStudy(apps.PhoneFleet, opts)
-	}
-	fleet := apps.BuildPhoneFleet(opts.Seed)
-	dev := wearos.New(wearos.DefaultPhoneConfig())
-	return runStudy(fleet, dev, opts)
+	return runFarmStudy(apps.PhoneFleet, opts)
 }
 
-func runStudy(fleet *apps.Fleet, dev *wearos.OS, opts Options) (*StudyResult, error) {
-	if err := fleet.InstallInto(dev); err != nil {
-		return nil, fmt.Errorf("install fleet: %w", err)
+// runFarmStudy executes a study on the farm engine — one device per
+// worker, reset or cloned per (campaign, package) shard, checkpoint/resume,
+// and crash triage — and adapts the merged farm result to the StudyResult
+// shape every table and figure function consumes. The result is
+// byte-identical for any worker count and across kill/resume.
+func runFarmStudy(kind apps.FleetKind, opts Options) (*StudyResult, error) {
+	reg := opts.Telemetry
+	if reg == nil {
+		reg = telemetry.NewRegistry()
 	}
-	targets := fleet.Packages
-	if len(opts.Packages) > 0 {
-		allow := make(map[string]bool, len(opts.Packages))
-		for _, p := range opts.Packages {
-			allow[p] = true
+	cfg := farm.Config{
+		Seed:      opts.Seed,
+		Fleet:     kind,
+		Campaigns: opts.Campaigns,
+		Packages:  opts.Packages,
+		Gen:       opts.Gen,
+		Sharding:  opts.Sharding,
+		Telemetry: reg,
+		Status:    opts.Status,
+	}
+	if opts.Progress != nil {
+		cfg.Progress = func(done, total int, key farm.ShardKey, sentSoFar int) {
+			opts.Progress(key.Campaign, key.Package, sentSoFar)
 		}
-		var filtered []*manifest.Package
-		for _, p := range targets {
-			if allow[p.Name] {
-				filtered = append(filtered, p)
-			}
-		}
-		targets = filtered
 	}
-
-	sink := &switchSink{}
-	dev.Logcat().Subscribe(sink)
-
-	gen := opts.Gen
-	gen.Seed = opts.Seed
-	inj := &core.Injector{Dev: dev, Cfg: gen}
-
-	campaigns := opts.Campaigns
-	if len(campaigns) == 0 {
-		campaigns = core.AllCampaigns
+	fres, err := farm.Run(cfg)
+	if err != nil {
+		return nil, err
 	}
-	result := &StudyResult{Fleet: fleet, Device: dev, Combined: analysis.AnalyzeEntries(nil)}
-	for _, campaign := range campaigns {
-		col := analysis.NewCollector()
-		sink.target = col
-		outcome := CampaignOutcome{Campaign: campaign}
-		for _, pkg := range targets {
-			run := inj.FuzzApp(campaign, pkg)
-			outcome.Sent += run.Sent
-			outcome.Summaries = append(outcome.Summaries, core.Summarize(run, dev.BootCount()))
-			if opts.Progress != nil {
-				opts.Progress(campaign, pkg.Name, result.Sent+outcome.Sent)
-			}
-		}
-		sink.target = nil
-		outcome.Report = col.Report()
-		result.Campaigns = append(result.Campaigns, outcome)
-		result.Combined.Merge(outcome.Report)
-		result.Sent += outcome.Sent
+	snap := reg.Snapshot()
+	sr := &StudyResult{
+		Fleet:      fres.Fleet,
+		Combined:   fres.Combined,
+		Sent:       fres.Sent,
+		Triage:     fres.Triage,
+		Telemetry:  &snap,
+		LogDropped: fres.LogDropped,
+		Sharding: &ShardingInfo{
+			Workers:    fres.Workers,
+			Shards:     fres.Shards,
+			Resumed:    fres.Resumed,
+			Checkpoint: opts.Sharding.Checkpoint,
+		},
 	}
-	result.LogDropped = dev.Logcat().Dropped()
-	return result, nil
+	for _, cr := range fres.Campaigns {
+		sr.Campaigns = append(sr.Campaigns, CampaignOutcome{
+			Campaign:  cr.Campaign,
+			Report:    cr.Report,
+			Sent:      cr.Sent,
+			Summaries: cr.Summaries,
+		})
+	}
+	return sr, nil
 }
 
 // QuickGen returns a scaled-down generator configuration for tests and

@@ -17,14 +17,17 @@ var benchPackages = []string{
 	"com.citymapper.wear", "com.duolingo.wear",
 }
 
-func runBench(b *testing.B, sharding core.Sharding) {
+func runBench(b *testing.B, workers int, boot bootStrategy) {
 	b.Helper()
 	cfg := farm.Config{
 		Seed:          1,
 		Packages:      benchPackages,
 		Gen:           experiments.QuickGen(4),
-		Sharding:      sharding,
+		Sharding:      core.Sharding{Workers: workers},
 		DisableTriage: true,
+	}
+	if boot != nil {
+		cfg = boot(cfg)
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -39,22 +42,18 @@ func runBench(b *testing.B, sharding core.Sharding) {
 	}
 }
 
-func BenchmarkCampaign_Serial(b *testing.B) { runBench(b, core.Sharding{Workers: 1}) }
+func BenchmarkCampaign_Serial(b *testing.B) { runBench(b, 1, nil) }
 
-func BenchmarkCampaign_Farm8(b *testing.B) { runBench(b, core.Sharding{Workers: 8}) }
+func BenchmarkCampaign_Farm8(b *testing.B) { runBench(b, 8, nil) }
 
 // The boot-strategy acceptance triple: the identical run executed three
-// ways. Persist (the default) keeps one hot device per worker and resets it
-// in place between shards; Snapshot clones a device per shard; FreshBoot
-// boots and rebuilds the fleet per shard. scripts/benchgate enforces the
-// ≥2x snapshot-over-fresh and ≥3x persist-over-snapshot speedup floors on
-// these ratios.
-func BenchmarkFarm8Persist(b *testing.B) { runBench(b, core.Sharding{Workers: 8}) }
+// ways. Persist (production) keeps one hot device per worker and resets it
+// in place between shards; Snapshot clones a device per shard
+// (farm.ClonePerShard); FreshBoot boots and rebuilds the fleet per shard
+// (farm.FreshBoot). scripts/benchgate enforces the ≥2x snapshot-over-fresh
+// and ≥3x persist-over-snapshot speedup floors on these ratios.
+func BenchmarkFarm8Persist(b *testing.B) { runBench(b, 8, nil) }
 
-func BenchmarkFarm8Snapshot(b *testing.B) {
-	runBench(b, core.Sharding{Workers: 8, DisablePersist: true})
-}
+func BenchmarkFarm8Snapshot(b *testing.B) { runBench(b, 8, farm.ClonePerShard) }
 
-func BenchmarkFarm8FreshBoot(b *testing.B) {
-	runBench(b, core.Sharding{Workers: 8, DisableSnapshot: true})
-}
+func BenchmarkFarm8FreshBoot(b *testing.B) { runBench(b, 8, farm.FreshBoot) }

@@ -1,9 +1,9 @@
 // Package farm is the campaign execution engine: it shards a fuzz study
 // into independent (campaign, package) work units, runs them on a pool of
-// worker goroutines — each unit on a freshly booted simulated device with
-// its own fleet instance — journals progress to a checkpoint file after
-// every completed shard, and merges the per-shard analysis results into a
-// single report.
+// worker goroutines — each unit on a device observably identical to a
+// freshly booted one, with its own fleet instance — journals progress to a
+// checkpoint file after every completed shard, and merges the per-shard
+// analysis results into a single report.
 //
 // The determinism contract (docs/farm.md): for a fixed seed and shard plan,
 // the merged result is byte-identical for any worker count and across any
@@ -12,9 +12,10 @@
 //  1. Intent generation splits a fresh SplitMix64 stream per shard
 //     (rng.Split on the shard key), so no shard's randomness depends on
 //     execution order.
-//  2. Every shard boots its own device and builds its own fleet from the
-//     study seed, so no simulator or behaviour-model state leaks between
-//     shards or workers.
+//  2. Every shard starts from the booted template device and a fleet in
+//     its freshly instantiated state (persist.go resets or clones both,
+//     hash-checked), so no simulator or behaviour-model state leaks
+//     between shards or workers.
 //  3. Merging happens in canonical shard-plan order after all shards
 //     complete, regardless of completion order.
 //
@@ -76,6 +77,11 @@ type Config struct {
 	// the cumulative completed/total counts and intents sent so far. Calls
 	// are serialized but arrive in completion order, not plan order.
 	Progress func(done, total int, key ShardKey, sentSoFar int)
+
+	// testBoot, when set, replaces unitExecutor.boot. Only the equivalence
+	// tests set it (export_test.go), to run the clone-per-shard and
+	// fresh-boot reference strategies.
+	testBoot func(kind apps.FleetKind, seed uint64, pkg string, met farmMetrics) (*apps.Fleet, *wearos.OS, string, error)
 }
 
 // ShardKey identifies one work unit: one campaign against one package.
@@ -490,9 +496,9 @@ func scheduleLPT(pending []int, plan []ShardKey, comps map[string]int, gen core.
 }
 
 // runShard executes one work unit in full isolation: own fleet behaviour
-// state, own device, own collectors. The device comes from the snapshot
-// cache (a clone of the booted template, observably identical to a fresh
-// boot) unless snapshots are disabled; the fleet shares the template's
+// state, own device, own collectors. The device is the executor's hot
+// device reset to the booted template, or a clone of that template (both
+// observably identical to a fresh boot); the fleet shares the template's
 // manifests but samples behaviour for just this shard's package. The
 // shard's generator seed is a SplitMix64 split of the study seed on the
 // shard key, so generation is independent of execution order and worker
@@ -645,9 +651,9 @@ func triageCrashes(cfg Config, kind apps.FleetKind, fleet *apps.Fleet, results [
 
 // minimizeBucket reduces the bucket's exemplar intent while the same stack
 // bucket keeps reproducing on a fresh oracle device. Oracle boots go
-// through the executor too (reset-or-clone when snapshots are enabled) but
-// with a zero-value farmMetrics so triage does not pollute the shard-level
-// hit/clone/persist telemetry.
+// through the executor too (reset-or-clone) but with a zero-value
+// farmMetrics so triage does not pollute the shard-level hit/clone/persist
+// telemetry.
 func minimizeBucket(cfg Config, kind apps.FleetKind, fleet *apps.Fleet, b *triage.Bucket, ex *unitExecutor) {
 	// Only exception-style failures minimize: a fault verdict is caused by
 	// the injected fault window, not the intent in flight, so shrinking that

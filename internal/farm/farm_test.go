@@ -24,13 +24,15 @@ var testPackages = []string{"com.heartwatch.wear", "com.strava.wear", "com.whats
 func testGen() core.GeneratorConfig { return experiments.QuickGen(10) }
 
 // exportForCompare renders a study result as canonical JSON with the
-// execution metadata (worker count, checkpoint path, resumed count) blanked:
-// the determinism contract is about the scientific outputs — Table III,
-// Fig 3a, campaign counts, triage buckets — not about how the run executed.
+// execution metadata (worker count, checkpoint path, resumed count, and
+// the telemetry snapshot with its timings) blanked: the determinism
+// contract is about the scientific outputs — Table III, Fig 3a, campaign
+// counts, triage buckets — not about how the run executed.
 func exportForCompare(t *testing.T, sr *experiments.StudyResult) string {
 	t.Helper()
 	exp := report.ExportStudy(sr, 1)
 	exp.Sharding = nil
+	exp.Telemetry = nil
 	data, err := json.MarshalIndent(exp, "", " ")
 	if err != nil {
 		t.Fatalf("marshal export: %v", err)
@@ -311,7 +313,7 @@ func TestStatusBoardTracksRun(t *testing.T) {
 		if sh.State != farm.StateDone {
 			t.Fatalf("shard %s state = %q", sh.Key, sh.State)
 		}
-		if sh.Source != farm.BootClone && sh.Source != farm.BootFresh && sh.Source != farm.BootReuse {
+		if sh.Source != farm.BootClone && sh.Source != farm.BootReuse {
 			t.Fatalf("shard %s boot source = %q", sh.Key, sh.Source)
 		}
 		if sh.Sent == 0 {

@@ -1,18 +1,17 @@
-// Persistent-mode shard execution. The snapshot path (snapshot.go) stamps a
-// fresh device clone per campaign unit; the persistent executor goes one
-// step further, AFL-persistent-mode style: each worker keeps ONE hot device
-// and resets it in place between the shards it leases (wearos.OS.ResetTo),
-// and keeps its instantiated fleets and rewinds their behaviour draw
-// streams instead of resampling (apps.FleetTemplate.Reset).
+// Persistent-mode shard execution, the farm's one production boot path.
+// AFL-persistent-mode style, each worker keeps ONE hot device and resets it
+// in place between the shards it leases (wearos.OS.ResetTo), and keeps its
+// instantiated fleets and rewinds their behaviour draw streams instead of
+// resampling (apps.FleetTemplate.Reset). When there is no hot device to
+// reuse, the unit gets a fresh clone of the boot template (snapshot.go); a
+// clone per shard is simply an executor used once.
 //
 // Correctness never depends on reuse. Every reset is validated against the
 // template's captured state hash; a device that crashed its way into a
 // reboot, aged past its template, or tripped the hash check in any way is
 // retired and the unit transparently falls back to a fresh clone. The
-// merged study result is byte-identical across persist on/off — the
-// cross-mode equivalence tests pin it — so core.Sharding.DisablePersist is
-// an execution strategy, excluded from the checkpoint fingerprint exactly
-// like DisableSnapshot and Workers.
+// equivalence suites pin the merged study byte-identical to the
+// clone-per-shard and fresh-boot reference strategies (export_test.go).
 package farm
 
 import (
@@ -41,13 +40,17 @@ func newUnitExecutor() *unitExecutor {
 	return &unitExecutor{fleets: make(map[string]*apps.Fleet)}
 }
 
-// boot produces the per-shard (fleet, device) pair like bootShard, but
-// reuses the executor's hot device and cached fleets when the run allows it
-// (snapshots on, persist not disabled). A nil executor always clones —
-// callers without worker-affine state just use the plain path.
+// boot produces the per-shard (fleet, device) pair: the executor's hot
+// device reset to the boot template, or a fresh clone of it, with the
+// shard's package installed and its handlers registered, and nothing else.
+// The fleet is the executor's cached instance rewound, or a new
+// instantiation of the fleet template. met records the template-cache
+// outcome (a hit requires both the fleet template and the device snapshot
+// to be cached) and the persist outcome; source names the boot path for the
+// shard status board.
 func (e *unitExecutor) boot(cfg Config, kind apps.FleetKind, pkgName string, met farmMetrics) (*apps.Fleet, *wearos.OS, string, error) {
-	if e == nil || cfg.Sharding.DisableSnapshot || cfg.Sharding.DisablePersist {
-		return bootShard(cfg, kind, pkgName, met)
+	if cfg.testBoot != nil {
+		return cfg.testBoot(kind, cfg.Seed, pkgName, met)
 	}
 
 	tmpl, fleetHit, err := bootCache.fleetTemplate(kind, cfg.Seed)

@@ -9,19 +9,24 @@ import (
 	"repro/internal/telemetry"
 )
 
-// persistExport runs one campaign over the given packages and renders the
-// canonical export with execution metadata blanked.
+// persistExport runs one campaign over the given packages with the given
+// boot strategy (nil = production) and renders the canonical export with
+// execution metadata blanked.
 func persistExport(t *testing.T, c core.Campaign, pkgs []string, gen core.GeneratorConfig,
-	sharding core.Sharding, reg *telemetry.Registry) string {
+	workers int, boot bootStrategy, reg *telemetry.Registry) string {
 	t.Helper()
-	res, err := farm.Run(farm.Config{
+	cfg := farm.Config{
 		Seed:      1,
 		Campaigns: []core.Campaign{c},
 		Packages:  pkgs,
 		Gen:       gen,
-		Sharding:  sharding,
+		Sharding:  core.Sharding{Workers: workers},
 		Telemetry: reg,
-	})
+	}
+	if boot != nil {
+		cfg = boot(cfg)
+	}
+	res, err := farm.Run(cfg)
 	if err != nil {
 		t.Fatalf("campaign %s: %v", c.Letter(), err)
 	}
@@ -42,9 +47,9 @@ func persistExport(t *testing.T, c core.Campaign, pkgs []string, gen core.Genera
 // clone-per-shard run.
 func TestPersistEquivalencePerCampaign(t *testing.T) {
 	for _, c := range append(append([]core.Campaign{}, core.AllCampaigns...), core.CampaignF) {
-		want := persistExport(t, c, testPackages, testGen(), core.Sharding{Workers: 1, DisablePersist: true}, nil)
+		want := persistExport(t, c, testPackages, testGen(), 1, farm.ClonePerShard, nil)
 		reg := telemetry.NewRegistry()
-		got := persistExport(t, c, testPackages, testGen(), core.Sharding{Workers: 2}, reg)
+		got := persistExport(t, c, testPackages, testGen(), 2, nil, reg)
 		if got != want {
 			t.Errorf("campaign %s: persistent-mode export differs from clone-per-shard:\n--- clone ---\n%s\n--- persist ---\n%s",
 				c.Letter(), want, got)
@@ -65,10 +70,10 @@ func TestPersistRetiresRebootShardDevice(t *testing.T) {
 	pkgs := []string{"com.motorola.omni", "com.heartwatch.wear"}
 	// Zero Gen = full paper scale; the reboot needs the full action matrix.
 	gen := core.GeneratorConfig{}
-	want := persistExport(t, core.CampaignA, pkgs, gen, core.Sharding{Workers: 1, DisablePersist: true}, nil)
+	want := persistExport(t, core.CampaignA, pkgs, gen, 1, farm.ClonePerShard, nil)
 
 	reg := telemetry.NewRegistry()
-	got := persistExport(t, core.CampaignA, pkgs, gen, core.Sharding{Workers: 1}, reg)
+	got := persistExport(t, core.CampaignA, pkgs, gen, 1, nil, reg)
 	if got != want {
 		t.Error("persistent-mode export differs from clone-per-shard after a reboot shard")
 	}

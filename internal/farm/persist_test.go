@@ -115,14 +115,8 @@ func TestUnitExecutorReusesHotDevice(t *testing.T) {
 		t.Fatalf("executor did not recover after retirement (source=%q)", src4)
 	}
 
-	// A nil executor and disabled modes take the plain clone path.
-	var nilEx *unitExecutor
-	if _, _, src, err := nilEx.boot(cfg, apps.WearFleet, pkg, farmMetrics{}); err != nil || src != BootClone {
-		t.Fatalf("nil executor: source=%q err=%v, want %q", src, err, BootClone)
-	}
-	off := cfg
-	off.Sharding.DisablePersist = true
-	if _, _, src, err := ex.boot(off, apps.WearFleet, pkg, farmMetrics{}); err != nil || src != BootClone {
-		t.Fatalf("persist off: source=%q err=%v, want %q", src, err, BootClone)
+	// An executor used once is a clone per shard.
+	if _, _, src, err := newUnitExecutor().boot(cfg, apps.WearFleet, pkg, farmMetrics{}); err != nil || src != BootClone {
+		t.Fatalf("new executor: source=%q err=%v, want %q", src, err, BootClone)
 	}
 }

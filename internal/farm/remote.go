@@ -122,7 +122,7 @@ func (p *Plan) EstimatedIntents(idx int) int {
 }
 
 // ExecuteShard runs one work unit in full isolation, exactly as a farm
-// worker goroutine would: snapshot-cloned (or fresh-booted) device, private
+// worker goroutine would: a device cloned from the boot template, private
 // fleet behaviour state, per-shard generator split, triage collection and
 // flight recording per the plan's Config. Safe for concurrent use — shards
 // share nothing but the immutable boot templates. Callers executing many
@@ -132,7 +132,7 @@ func (p *Plan) ExecuteShard(idx int) (*ShardResult, error) {
 	if idx < 0 || idx >= len(p.shards) {
 		return nil, fmt.Errorf("farm: shard index %d outside plan of %d", idx, len(p.shards))
 	}
-	return runShard(p.cfg, p.kind, p.shards[idx], newFarmMetrics(p.cfg.Telemetry), nil)
+	return runShard(p.cfg, p.kind, p.shards[idx], newFarmMetrics(p.cfg.Telemetry), newUnitExecutor())
 }
 
 // Executor is a persistent-mode shard runner bound to one plan: the same
@@ -151,7 +151,7 @@ func (p *Plan) NewExecutor() *Executor {
 }
 
 // ExecuteShard runs one work unit like Plan.ExecuteShard, reusing the
-// executor's hot device when the plan's Sharding allows persist.
+// executor's hot device when its reset validates.
 func (e *Executor) ExecuteShard(idx int) (*ShardResult, error) {
 	p := e.p
 	if idx < 0 || idx >= len(p.shards) {

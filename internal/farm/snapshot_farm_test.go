@@ -10,49 +10,83 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/farm"
+	"repro/internal/service"
 	"repro/internal/telemetry"
 )
 
-// TestSnapshotMatchesFreshBootMerge is the tentpole's acceptance gate: the
-// snapshot-clone path must produce a byte-identical merged study for any
-// worker count, compared against the fresh-boot path. The fresh-boot serial
-// run is the reference; every other (mode, workers) combination must match.
+// bootStrategy rewrites a farm config onto one of the reference boot
+// strategies (farm.FreshBoot, farm.ClonePerShard); nil keeps production.
+type bootStrategy func(farm.Config) farm.Config
+
+// strategyRun runs the test study on farm.Run with the given sharding and
+// boot strategy.
+func strategyRun(t *testing.T, sharding core.Sharding, boot bootStrategy) *farm.Result {
+	t.Helper()
+	cfg := farm.Config{Seed: 1, Gen: testGen(), Packages: testPackages, Sharding: sharding}
+	if boot != nil {
+		cfg = boot(cfg)
+	}
+	res, err := farm.Run(cfg)
+	if err != nil {
+		t.Fatalf("study: %v", err)
+	}
+	return res
+}
+
+// resultExport renders a farm result as the canonical service export,
+// which leaves out the execution metadata.
+func resultExport(t *testing.T, res *farm.Result) string {
+	t.Helper()
+	data, err := service.ExportResult(res, 1)
+	if err != nil {
+		t.Fatalf("export: %v", err)
+	}
+	return string(data)
+}
+
+// TestSnapshotMatchesFreshBootMerge is the boot-strategy acceptance gate:
+// the production path (persist with clone fallback) and the clone-per-shard
+// reference must produce a byte-identical merged study for any worker
+// count, compared against the fresh-boot path. The fresh-boot serial run is
+// the reference; every other (strategy, workers) combination must match.
 func TestSnapshotMatchesFreshBootMerge(t *testing.T) {
-	want := exportForCompare(t, runStudy(t, core.Sharding{Workers: 1, DisableSnapshot: true}))
+	want := resultExport(t, strategyRun(t, core.Sharding{Workers: 1}, farm.FreshBoot))
 	for _, tc := range []struct {
-		name     string
-		sharding core.Sharding
+		name    string
+		workers int
+		boot    bootStrategy
 	}{
-		// The zero Sharding value runs persistent mode (snapshot clones plus
-		// hot-device reuse), so the workers=N rows also prove the persistent
+		// Production runs persistent mode (snapshot clones plus hot-device
+		// reuse), so the workers=N rows also prove the persistent
 		// executor's reuse path merges byte-identically.
-		{"persist/workers=1", core.Sharding{Workers: 1}},
-		{"persist/workers=4", core.Sharding{Workers: 4}},
-		{"persist/workers=8", core.Sharding{Workers: 8}},
-		{"clone-per-shard/workers=1", core.Sharding{Workers: 1, DisablePersist: true}},
-		{"clone-per-shard/workers=8", core.Sharding{Workers: 8, DisablePersist: true}},
-		{"freshboot/workers=4", core.Sharding{Workers: 4, DisableSnapshot: true}},
+		{"persist/workers=1", 1, nil},
+		{"persist/workers=4", 4, nil},
+		{"persist/workers=8", 8, nil},
+		{"clone-per-shard/workers=1", 1, farm.ClonePerShard},
+		{"clone-per-shard/workers=8", 8, farm.ClonePerShard},
+		{"freshboot/workers=4", 4, farm.FreshBoot},
 	} {
-		if got := exportForCompare(t, runStudy(t, tc.sharding)); got != want {
+		if got := resultExport(t, strategyRun(t, core.Sharding{Workers: tc.workers}, tc.boot)); got != want {
 			t.Errorf("%s export differs from fresh-boot serial run:\n--- fresh serial ---\n%s\n--- %s ---\n%s",
 				tc.name, want, tc.name, got)
 		}
 	}
 }
 
-// TestCheckpointCrossSnapshotModes pins that DisableSnapshot stays out of
+// TestCheckpointCrossSnapshotModes pins that the boot strategy stays out of
 // the checkpoint fingerprint: a journal written by a fresh-boot run resumes
-// cleanly under the snapshot path (and vice versa) with identical output.
+// cleanly under the production and clone-per-shard paths (and vice versa)
+// with identical output.
 func TestCheckpointCrossSnapshotModes(t *testing.T) {
 	dir := t.TempDir()
 	offJournal := filepath.Join(dir, "off.ckpt")
 	killed := filepath.Join(dir, "killed.ckpt")
 
-	uninterrupted := runStudy(t, core.Sharding{Workers: 2, Checkpoint: offJournal, DisableSnapshot: true})
-	want := exportForCompare(t, uninterrupted)
+	uninterrupted := strategyRun(t, core.Sharding{Workers: 2, Checkpoint: offJournal}, farm.FreshBoot)
+	want := resultExport(t, uninterrupted)
 
 	// Tear the fresh-boot journal after three shards (header + 3 records +
-	// a torn partial line), then resume it with snapshots enabled.
+	// a torn partial line), then resume it on the production path.
 	data, err := os.ReadFile(offJournal)
 	if err != nil {
 		t.Fatal(err)
@@ -67,71 +101,73 @@ func TestCheckpointCrossSnapshotModes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	killedNoPersist := filepath.Join(dir, "killed-no-persist.ckpt")
-	if err := os.WriteFile(killedNoPersist, []byte(torn), 0o644); err != nil {
+	killedClone := filepath.Join(dir, "killed-clone.ckpt")
+	if err := os.WriteFile(killedClone, []byte(torn), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	resumed := runStudy(t, core.Sharding{Workers: 2, Checkpoint: killed, Resume: true})
-	if got := exportForCompare(t, resumed); got != want {
-		t.Errorf("snapshot-mode resume of a fresh-boot journal differs:\n--- fresh-boot full ---\n%s\n--- resumed ---\n%s", want, got)
+	resumed := strategyRun(t, core.Sharding{Workers: 2, Checkpoint: killed, Resume: true}, nil)
+	if got := resultExport(t, resumed); got != want {
+		t.Errorf("production resume of a fresh-boot journal differs:\n--- fresh-boot full ---\n%s\n--- resumed ---\n%s", want, got)
 	}
-	if resumed.Sharding.Resumed != keep {
-		t.Fatalf("resumed = %d shards, want %d", resumed.Sharding.Resumed, keep)
+	if resumed.Resumed != keep {
+		t.Fatalf("resumed = %d shards, want %d", resumed.Resumed, keep)
 	}
 
-	// DisablePersist likewise stays out of the fingerprint: the same torn
-	// fresh-boot journal resumes under clone-per-shard mode with identical
-	// output (the resume above already exercised persistent mode).
-	resumedNoPersist := runStudy(t, core.Sharding{Workers: 2, Checkpoint: killedNoPersist, Resume: true, DisablePersist: true})
-	if got := exportForCompare(t, resumedNoPersist); got != want {
+	// The same torn fresh-boot journal resumes under clone-per-shard with
+	// identical output (the resume above exercised persistent mode).
+	resumedClone := strategyRun(t, core.Sharding{Workers: 2, Checkpoint: killedClone, Resume: true}, farm.ClonePerShard)
+	if got := resultExport(t, resumedClone); got != want {
 		t.Error("clone-per-shard resume of a fresh-boot journal differs")
 	}
-	if resumedNoPersist.Sharding.Resumed != keep {
-		t.Fatalf("no-persist resumed = %d shards, want %d", resumedNoPersist.Sharding.Resumed, keep)
+	if resumedClone.Resumed != keep {
+		t.Fatalf("clone-per-shard resumed = %d shards, want %d", resumedClone.Resumed, keep)
 	}
 
-	// The opposite direction: the journal completed under snapshots replays
-	// fully under fresh boots.
-	replayed := runStudy(t, core.Sharding{Workers: 2, Checkpoint: killed, Resume: true, DisableSnapshot: true})
-	if got := exportForCompare(t, replayed); got != want {
-		t.Error("fresh-boot replay of a snapshot-completed journal differs")
+	// The opposite direction: the journal completed on the production path
+	// replays fully under fresh boots.
+	replayed := strategyRun(t, core.Sharding{Workers: 2, Checkpoint: killed, Resume: true}, farm.FreshBoot)
+	if got := resultExport(t, replayed); got != want {
+		t.Error("fresh-boot replay of a production-completed journal differs")
 	}
-	if replayed.Sharding.Resumed != replayed.Sharding.Shards {
-		t.Fatalf("replay resumed %d of %d shards", replayed.Sharding.Resumed, replayed.Sharding.Shards)
+	if replayed.Resumed != replayed.Shards {
+		t.Fatalf("replay resumed %d of %d shards", replayed.Resumed, replayed.Shards)
 	}
 }
 
 // TestSnapshotTelemetry verifies the farm boot metrics across the three
-// execution modes. Persistent mode: every shard records one cache outcome
-// and one queue wait, and comes up either by hot-device reuse (one reset
-// latency) or by a fallback clone (one clone latency) — the two must
-// account for every shard. Clone-per-shard mode (persist off): one clone
-// latency per shard and no persist outcomes. Fresh-boot mode: none of the
-// above. The boot cache is process-global (earlier tests may have warmed
-// it), so the hit/miss split is not asserted — only the total.
+// boot strategies. Production (persistent mode): every shard records one
+// cache outcome and one queue wait, and comes up either by hot-device
+// reuse (one reset latency) or by a fallback clone (one clone latency) —
+// the two must account for every shard. Clone-per-shard (an executor used
+// once): one cold-start fallback clone per shard, never a reset.
+// Fresh boot: none of the above. The boot cache is process-global (earlier
+// tests may have warmed it), so the hit/miss split is not asserted — only
+// the total.
 func TestSnapshotTelemetry(t *testing.T) {
-	run := func(sharding core.Sharding) telemetry.Snapshot {
-		sharding.Workers = 4
-		reg := telemetry.NewRegistry()
-		res, err := farm.Run(farm.Config{
+	run := func(boot bootStrategy) telemetry.Snapshot {
+		cfg := farm.Config{
 			Seed:      1,
 			Packages:  testPackages,
 			Gen:       testGen(),
-			Sharding:  sharding,
-			Telemetry: reg,
-		})
+			Sharding:  core.Sharding{Workers: 4},
+			Telemetry: telemetry.NewRegistry(),
+		}
+		if boot != nil {
+			cfg = boot(cfg)
+		}
+		res, err := farm.Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Shards != 4*len(testPackages) {
 			t.Fatalf("shards = %d, want %d", res.Shards, 4*len(testPackages))
 		}
-		return reg.Snapshot()
+		return cfg.Telemetry.Snapshot()
 	}
 	shards := uint64(4 * len(testPackages))
 
-	snap := run(core.Sharding{})
+	snap := run(nil)
 	hits := snap.Counters["farm_snapshot_hits_total"]
 	misses := snap.Counters["farm_snapshot_misses_total"]
 	if hits+misses != shards {
@@ -158,17 +194,19 @@ func TestSnapshotTelemetry(t *testing.T) {
 		t.Fatalf("farm_shard_queue_wait_seconds count = %d, want %d", got, shards)
 	}
 
-	noPersist := run(core.Sharding{DisablePersist: true})
-	if got := noPersist.Histograms["farm_clone_seconds"].Count; got != shards {
+	clone := run(farm.ClonePerShard)
+	if got := clone.Histograms["farm_clone_seconds"].Count; got != shards {
 		t.Fatalf("farm_clone_seconds count = %d, want %d", got, shards)
 	}
-	if n := noPersist.Counters["farm_persist_reuses_total"] +
-		noPersist.Counters["farm_persist_retires_total"] +
-		noPersist.Counters["farm_persist_fallbacks_total"]; n != 0 {
-		t.Fatalf("persist-off run recorded %d persist outcomes", n)
+	if got := clone.Counters["farm_persist_fallbacks_total"]; got != shards {
+		t.Fatalf("clone-per-shard run recorded %d fallback clones, want %d", got, shards)
+	}
+	if n := clone.Counters["farm_persist_reuses_total"] + clone.Counters["farm_persist_retires_total"] +
+		clone.Histograms["farm_reset_seconds"].Count; n != 0 {
+		t.Fatalf("clone-per-shard run recorded %d resets", n)
 	}
 
-	off := run(core.Sharding{DisableSnapshot: true})
+	off := run(farm.FreshBoot)
 	if n := off.Counters["farm_snapshot_hits_total"] + off.Counters["farm_snapshot_misses_total"]; n != 0 {
 		t.Fatalf("fresh-boot run recorded %d snapshot cache outcomes", n)
 	}
@@ -186,23 +224,27 @@ func TestSnapshotTelemetry(t *testing.T) {
 // device reboot. A cloned shard device must report the same reboot and the
 // same BootCount (template boot + its own reboot) as a fresh boot.
 func TestRebootManifestsOnClonedShard(t *testing.T) {
-	run := func(disable bool) *farm.Result {
-		res, err := farm.Run(farm.Config{
+	run := func(boot bootStrategy) *farm.Result {
+		cfg := farm.Config{
 			Seed:      1,
 			Packages:  []string{"com.motorola.omni"},
 			Campaigns: []core.Campaign{core.CampaignA},
 			// Zero Gen = full paper scale; the reboot needs the full action
 			// matrix to accumulate three sensor-listener ANRs.
 			Gen:      core.GeneratorConfig{},
-			Sharding: core.Sharding{Workers: 1, DisableSnapshot: disable},
-		})
+			Sharding: core.Sharding{Workers: 1},
+		}
+		if boot != nil {
+			cfg = boot(cfg)
+		}
+		res, err := farm.Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
 
-	snapRes, freshRes := run(false), run(true)
+	snapRes, freshRes := run(nil), run(farm.FreshBoot)
 	for name, res := range map[string]*farm.Result{"snapshot": snapRes, "fresh-boot": freshRes} {
 		cr := res.Campaigns[0]
 		if len(cr.Report.RebootTimes) != 1 {

@@ -27,14 +27,15 @@ type StudyExport struct {
 	Fig3a     map[string]int      `json:"fig3a"`
 	Fig4      map[string]float64  `json:"fig4CrashAppRate"`
 	Reboot    []string            `json:"rebootComponents"`
-	// Telemetry embeds the device's metric snapshot at export time, so a run
-	// artifact carries its own instrumentation (counters, gauges, histogram
-	// quantiles) next to the paper tables.
+	// Telemetry embeds the study's farm registry snapshot (device, fuzzer
+	// and farm metrics over every shard), so a run artifact carries its own
+	// instrumentation (counters, gauges, histogram quantiles) next to the
+	// paper tables. Absent from service exports, which must be
+	// byte-identical across executions.
 	Telemetry *telemetry.Snapshot `json:"telemetry,omitempty"`
-	// Sharding records how a farm-backed run executed (absent for serial
-	// runs).
+	// Sharding records how the run executed (absent from service exports).
 	Sharding *ShardingExport `json:"sharding,omitempty"`
-	// Triage lists deduplicated crash signatures (farm runs only).
+	// Triage lists deduplicated crash signatures.
 	Triage *TriageExport `json:"triage,omitempty"`
 	// FaultResilience is the graded fault-injection table (FIC F runs only):
 	// one row per (fault kind, app) with a graceful-degradation score.
@@ -142,12 +143,7 @@ func ExportStudy(sr *experiments.StudyResult, seed uint64) StudyExport {
 		Fig3a:   map[string]int{},
 		Fig4:    map[string]float64{},
 	}
-	if sr.Device != nil {
-		if reg := sr.Device.Telemetry(); reg != nil {
-			snap := reg.Snapshot()
-			out.Telemetry = &snap
-		}
-	}
+	out.Telemetry = sr.Telemetry
 	if sr.Sharding != nil {
 		out.Sharding = &ShardingExport{
 			Workers:    sr.Sharding.Workers,

@@ -8,6 +8,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -501,6 +504,89 @@ func TestCoordinatorRestartResumes(t *testing.T) {
 	}
 	if string(got) != string(want) {
 		t.Error("post-restart export differs from single-process run")
+	}
+}
+
+// TestRestoreLegacySpecSidecar pins that coordinator data dirs written
+// while specs still carried the boot-strategy switches (disableSnapshot,
+// disablePersist) keep loading: the sidecar's unknown fields are ignored,
+// the campaign restores under its ID, and it exports byte-identically to
+// the single-process run.
+func TestRestoreLegacySpecSidecar(t *testing.T) {
+	var spec service.CampaignSpec
+	if err := json.Unmarshal([]byte(`{"seed":1,"disableSnapshot":true,"disablePersist":true}`), &spec); err != nil {
+		t.Fatalf("unmarshal legacy spec: %v", err)
+	}
+	if !reflect.DeepEqual(spec, service.CampaignSpec{Seed: 1}) {
+		t.Fatalf("legacy spec decoded as %+v, want only the seed", spec)
+	}
+
+	dir := t.TempDir()
+	first := newCoordinator(t, service.Options{DataDir: dir})
+	info, err := first.Submit(testSpec())
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	g, err := first.Lease("pre-restart")
+	if err != nil {
+		t.Fatalf("lease: %v", err)
+	}
+	if err := first.Complete(g.LeaseID, g.Fingerprint, executeShard(t, g)); err != nil {
+		t.Fatalf("complete: %v", err)
+	}
+	if err := first.Shutdown(); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+
+	// Rewrite the sidecar as an older coordinator wrote it.
+	path := filepath.Join(dir, info.ID+".spec.json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read sidecar: %v", err)
+	}
+	var side map[string]any
+	if err := json.Unmarshal(data, &side); err != nil {
+		t.Fatalf("parse sidecar: %v", err)
+	}
+	legacy := side["spec"].(map[string]any)
+	legacy["disableSnapshot"] = true
+	legacy["disablePersist"] = true
+	if data, err = json.MarshalIndent(side, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatalf("write sidecar: %v", err)
+	}
+
+	second := newCoordinator(t, service.Options{DataDir: dir})
+	infos := second.Campaigns()
+	if len(infos) != 1 || infos[0].ID != info.ID {
+		t.Fatalf("restored campaigns = %+v, want [%s]", infos, info.ID)
+	}
+	if infos[0].Resumed != 1 {
+		t.Fatalf("restored %d shards from the journal, want 1", infos[0].Resumed)
+	}
+	ts := httptest.NewServer(service.Handler(second))
+	defer ts.Close()
+	if _, err := service.RunWorker(context.Background(), service.WorkerOptions{
+		Coordinator:  ts.URL,
+		Name:         "post-restart",
+		ExitWhenIdle: true,
+	}); err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	client := service.NewClient(ts.URL, nil)
+	waitForState(t, func() (service.CampaignInfo, error) { return client.Campaign(info.ID) }, service.CampaignComplete)
+	got, err := client.Export(info.ID)
+	if err != nil {
+		t.Fatalf("export: %v", err)
+	}
+	want, err := serialBaseline()
+	if err != nil {
+		t.Fatalf("serial baseline: %v", err)
+	}
+	if string(got) != string(want) {
+		t.Error("legacy-sidecar campaign export differs from single-process run")
 	}
 }
 

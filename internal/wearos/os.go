@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/binder"
@@ -408,10 +409,17 @@ func newKernel(cfg Config, clock *vclock.Virtual, buf *logcat.Buffer) *OS {
 	o.router.SetTelemetry(tel)
 	o.buf.SetTelemetry(tel)
 	o.buf.OnFirstDrop(func(capacity int) {
-		fmt.Fprintln(os.Stderr, ringFullWarning(capacity))
+		if ringFullWarned.CompareAndSwap(false, true) {
+			fmt.Fprintln(os.Stderr, ringFullWarning(capacity))
+		}
 	})
 	return o
 }
+
+// ringFullWarned limits the ring-full warning to once per process: a study
+// overflows the ring of every busy shard device the same way, and
+// DroppedSummary reports the total at the end of the run.
+var ringFullWarned atomic.Bool
 
 // ringFullWarning is the operator message for a device's first logcat
 // eviction. The streaming analyzer and triage consume every line as it is

@@ -9,11 +9,13 @@ import (
 	"repro/internal/logcat"
 )
 
-// TestRingFullWarningNamesRingReaders overflows a small logcat ring and
-// pins the operator warning it prints: the lines are lost to readers of
-// the retained ring (dumps, snapshots, adb pulls), not to the streaming
-// analyzer and triage, which consume every line as it is appended.
+// TestRingFullWarningNamesRingReaders overflows two devices' small logcat
+// rings and pins the operator warning they print: exactly one line per
+// process, saying the lines are lost to readers of the retained ring
+// (dumps, snapshots, adb pulls), not to the streaming analyzer and triage,
+// which consume every line as it is appended.
 func TestRingFullWarningNamesRingReaders(t *testing.T) {
+	ringFullWarned.Store(false)
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
@@ -24,12 +26,14 @@ func TestRingFullWarningNamesRingReaders(t *testing.T) {
 		defer func() { os.Stderr = stderr }()
 		cfg := DefaultWatchConfig()
 		cfg.LogCapacity = 8
-		o := New(cfg)
-		for i := 0; i < 8; i++ {
-			o.Logger().Log(1, 1, logcat.Info, "test", "line")
-		}
-		if o.Logcat().Dropped() == 0 {
-			t.Fatal("ring did not overflow")
+		for dev := 0; dev < 2; dev++ {
+			o := New(cfg)
+			for i := 0; i < 8; i++ {
+				o.Logger().Log(1, 1, logcat.Info, "test", "line")
+			}
+			if o.Logcat().Dropped() == 0 {
+				t.Fatalf("device %d: ring did not overflow", dev)
+			}
 		}
 	}()
 	w.Close()
