@@ -210,8 +210,8 @@ func runWorker(coordinator, name string, exitIdle bool, poll, throttle time.Dura
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "qgj-worker: done — %d shards executed (%d intents), %d leases lost\n",
-		stats.Executed, stats.Intents, stats.Lost)
+	fmt.Fprintf(os.Stderr, "qgj-worker: done — %d shards executed (%d intents), %d leases lost, %d requests retried (%d throttled)\n",
+		stats.Executed, stats.Intents, stats.Lost, stats.Retries, stats.Throttled)
 	return nil
 }
 

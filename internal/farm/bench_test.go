@@ -1,6 +1,7 @@
 package farm_test
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -57,3 +58,61 @@ func BenchmarkFarm8Persist(b *testing.B) { runBench(b, 8, nil) }
 func BenchmarkFarm8Snapshot(b *testing.B) { runBench(b, 8, farm.ClonePerShard) }
 
 func BenchmarkFarm8FreshBoot(b *testing.B) { runBench(b, 8, farm.FreshBoot) }
+
+// crashHeavyRecord is the fixed record of the codec benchmark pair: shard
+// A/com.robinhood.wear of the wear fleet at quick-4, seed 1 — 318 crash
+// records carrying 20,352 flight-recorder events, ~4.4 MB, the shape that
+// dominates the durable path's bytes.
+var crashHeavyRecord = sync.OnceValues(func() (*farm.ShardResult, error) {
+	plan, err := farm.NewPlan(farm.Config{
+		Seed:      1,
+		Campaigns: []core.Campaign{core.CampaignA},
+		Packages:  []string{"com.robinhood.wear"},
+		Gen:       experiments.QuickGen(4),
+	})
+	if err != nil {
+		return nil, err
+	}
+	return plan.ExecuteShard(0)
+})
+
+// BenchmarkShardRecordEncode and BenchmarkShardRecordDecode time the
+// shard-record codec (worker upload, coordinator journal, checkpoint
+// appends and resume all go through it) on crashHeavyRecord.
+func BenchmarkShardRecordEncode(b *testing.B) {
+	sr, err := crashHeavyRecord()
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec, err := farm.EncodeShardRecord(0, sr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(rec)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := farm.EncodeShardRecord(0, sr); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkShardRecordDecode(b *testing.B) {
+	sr, err := crashHeavyRecord()
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec, err := farm.EncodeShardRecord(0, sr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(rec)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := farm.DecodeShardRecord(rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

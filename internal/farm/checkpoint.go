@@ -1,11 +1,11 @@
 package farm
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"os"
-	"strings"
 	"sync"
 
 	"repro/internal/core"
@@ -22,7 +22,8 @@ import (
 // Format (JSON lines):
 //
 //	line 1:  journalHeader — version, plan fingerprint, shard count
-//	line 2+: journalRecord — one completed shard with its full merge inputs
+//	line 2+: one shard record per completed shard with its full merge
+//	         inputs (EncodeShardRecord; schema in record.go)
 //
 // A truncated final line (the SIGKILL artifact) is detected and ignored on
 // load. The header fingerprint covers everything that shapes the shard plan
@@ -40,18 +41,6 @@ type journalHeader struct {
 	Shards      int    `json:"shards"`
 	Seed        uint64 `json:"seed"`
 	Fleet       string `json:"fleet"`
-}
-
-// journalRecord is one completed shard.
-type journalRecord struct {
-	Index     int          `json:"index"`
-	Key       ShardKey     `json:"key"`
-	Seed      uint64       `json:"seed"`
-	Sent      int          `json:"sent"`
-	BootCount int          `json:"bootCount"`
-	Summary   core.Summary `json:"summary"`
-	Report    reportJSON   `json:"report"`
-	Crashes   []crashJSON  `json:"crashes,omitempty"`
 }
 
 // fingerprint hashes the run parameters that determine the shard plan and
@@ -91,7 +80,11 @@ func createJournal(path string, h journalHeader) (*journal, error) {
 		return nil, fmt.Errorf("farm: create checkpoint: %w", err)
 	}
 	j := &journal{f: f}
-	if err := j.appendLine(h); err != nil {
+	data, err := json.Marshal(h)
+	if err == nil {
+		err = j.appendRaw(data)
+	}
+	if err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -112,21 +105,19 @@ func openJournalAppend(path string, validLen int64) (*journal, error) {
 	return &journal{f: f}, nil
 }
 
-// appendLine marshals v, appends it as one line, and fsyncs so the record
-// survives a SIGKILL (durability is the whole point of the journal).
-func (j *journal) appendLine(v any) error {
-	data, err := encodeJournalLine(v)
-	if err != nil {
-		return err
-	}
-	return j.appendRaw(data)
-}
-
-// appendRaw appends one pre-encoded record line (sans newline) and fsyncs.
+// appendRaw appends one encoded line (without its newline) and fsyncs so
+// the record survives a SIGKILL (durability is the whole point of the
+// journal). The newline is a second write rather than an append to data:
+// records run to tens of megabytes and the caller's slice is not ours to
+// grow. A crash between the two writes leaves an unterminated line, which
+// loadJournal already treats as torn.
 func (j *journal) appendRaw(data []byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, err := j.f.Write(append(data, '\n')); err != nil {
+	if _, err := j.f.Write(data); err != nil {
+		return fmt.Errorf("farm: write checkpoint record: %w", err)
+	}
+	if _, err := j.f.Write(newline); err != nil {
 		return fmt.Errorf("farm: write checkpoint record: %w", err)
 	}
 	if err := j.f.Sync(); err != nil {
@@ -135,19 +126,7 @@ func (j *journal) appendRaw(data []byte) error {
 	return nil
 }
 
-// encodeJournalLine renders one record in the journal's wire form.
-func encodeJournalLine(v any) ([]byte, error) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return nil, fmt.Errorf("farm: encode checkpoint record: %w", err)
-	}
-	return data, nil
-}
-
-// decodeJournalLine parses one journal-form record.
-func decodeJournalLine(data []byte, v any) error {
-	return json.Unmarshal(data, v)
-}
+var newline = []byte{'\n'}
 
 func (j *journal) Close() error {
 	if j == nil {
@@ -166,42 +145,51 @@ func isNotExist(err error) bool { return os.IsNotExist(err) }
 // the last occurrence. validLen is the byte length of the durable prefix;
 // the resume path truncates the file to it before appending, so a torn
 // partial record never corrupts the next journal line.
-func loadJournal(path string) (journalHeader, map[int]journalRecord, int64, error) {
-	var hdr journalHeader
+func loadJournal(path string) (journalHeader, map[int]*ShardResult, int64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return hdr, nil, 0, err
+		return journalHeader{}, nil, 0, err
 	}
-	lines := strings.SplitAfter(string(data), "\n")
-	if len(lines) == 0 || strings.TrimSpace(lines[0]) == "" {
-		return hdr, nil, 0, fmt.Errorf("farm: checkpoint %s is empty", path)
+	hdr, done, validLen, err := parseJournal(data)
+	if err != nil {
+		return hdr, nil, 0, fmt.Errorf("farm: checkpoint %s: %w", path, err)
 	}
-	if err := json.Unmarshal([]byte(lines[0]), &hdr); err != nil {
-		return hdr, nil, 0, fmt.Errorf("farm: checkpoint %s: bad header: %w", path, err)
+	return hdr, done, validLen, nil
+}
+
+// parseJournal is loadJournal over the file's bytes.
+func parseJournal(data []byte) (journalHeader, map[int]*ShardResult, int64, error) {
+	var hdr journalHeader
+	line, rest, _ := bytes.Cut(data, newline)
+	if len(bytes.TrimSpace(line)) == 0 {
+		return hdr, nil, 0, fmt.Errorf("empty")
+	}
+	if err := json.Unmarshal(line, &hdr); err != nil {
+		return hdr, nil, 0, fmt.Errorf("bad header: %w", err)
 	}
 	if hdr.Version != journalVersion {
-		return hdr, nil, 0, fmt.Errorf("farm: checkpoint %s: version %d, want %d", path, hdr.Version, journalVersion)
+		return hdr, nil, 0, fmt.Errorf("version %d, want %d", hdr.Version, journalVersion)
 	}
-	done := make(map[int]journalRecord)
-	validLen := int64(len(lines[0]))
-	for _, line := range lines[1:] {
-		// appendLine writes record+newline in one call, so an unterminated
-		// line is by definition a torn write — even if it happens to parse.
-		if !strings.HasSuffix(line, "\n") {
+	done := make(map[int]*ShardResult)
+	validLen := int64(len(data) - len(rest))
+	for {
+		// appendRaw writes record then newline, so an unterminated line is
+		// by definition a torn write — even if it happens to parse.
+		line, next, terminated := bytes.Cut(rest, newline)
+		if !terminated {
 			break
 		}
-		if strings.TrimSpace(line) == "" {
-			validLen += int64(len(line))
-			continue
+		if len(bytes.TrimSpace(line)) > 0 {
+			idx, sr, err := DecodeShardRecord(line)
+			if err != nil {
+				// Truncated tail: the run was killed mid-append. Everything
+				// up to here is durable; the partial record is re-executed.
+				break
+			}
+			done[idx] = sr
 		}
-		var rec journalRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			// Truncated tail: the run was killed mid-append. Everything up
-			// to here is durable; the partial record is re-executed.
-			break
-		}
-		done[rec.Index] = rec
-		validLen += int64(len(line))
+		validLen += int64(len(line) + 1)
+		rest = next
 	}
 	return hdr, done, validLen, nil
 }

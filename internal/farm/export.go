@@ -6,8 +6,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/intent"
 	"repro/internal/javalang"
-	"repro/internal/telemetry"
-	"repro/internal/triage"
 )
 
 // Checkpoint wire forms. The journal must round-trip everything a completed
@@ -167,57 +165,4 @@ func (ij *intentJSON) restore() *intent.Intent {
 		in.PutExtra(e.Key, e.Value)
 	}
 	return in
-}
-
-// crashJSON is one serialized triage record (crash or ANR), including the
-// flight-recorder window captured at the failure. telemetry.Event already
-// round-trips byte-identically through JSON, so the window serializes
-// as-is; Kind is omitted for plain crashes (the zero value) to keep v1-era
-// records readable in spirit, though the journal version still gates them.
-type crashJSON struct {
-	Kind      string            `json:"kind,omitempty"`
-	Process   string            `json:"process,omitempty"`
-	Component string            `json:"component,omitempty"`
-	Classes   []string          `json:"classes,omitempty"`
-	Frames    []string          `json:"frames,omitempty"`
-	Fault     string            `json:"fault,omitempty"`
-	Intent    *intentJSON       `json:"intent,omitempty"`
-	Trace     string            `json:"trace,omitempty"`
-	Flight    []telemetry.Event `json:"flight,omitempty"`
-}
-
-func exportCrashes(crashes []*triage.Crash) []crashJSON {
-	out := make([]crashJSON, 0, len(crashes))
-	for _, c := range crashes {
-		out = append(out, crashJSON{
-			Kind:      c.Kind,
-			Process:   c.Process,
-			Component: c.Component,
-			Classes:   c.Classes,
-			Frames:    c.Frames,
-			Fault:     c.Fault,
-			Intent:    exportIntent(c.Intent),
-			Trace:     c.Trace,
-			Flight:    c.Flight,
-		})
-	}
-	return out
-}
-
-func restoreCrashes(cjs []crashJSON) []*triage.Crash {
-	out := make([]*triage.Crash, 0, len(cjs))
-	for _, cj := range cjs {
-		out = append(out, &triage.Crash{
-			Kind:      cj.Kind,
-			Process:   cj.Process,
-			Component: cj.Component,
-			Classes:   cj.Classes,
-			Frames:    cj.Frames,
-			Fault:     cj.Fault,
-			Intent:    cj.Intent.restore(),
-			Trace:     cj.Trace,
-			Flight:    cj.Flight,
-		})
-	}
-	return out
 }

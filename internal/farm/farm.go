@@ -335,22 +335,13 @@ func prepareCheckpoint(cfg Config, fp uint64, kind apps.FleetKind, plan []ShardK
 					"farm: checkpoint %s was written by a different run (fingerprint %016x, want %016x); refusing to resume",
 					path, prev.Fingerprint, fp)
 			}
-			resumed := 0
-			for idx, rec := range done {
-				if idx < 0 || idx >= len(plan) || plan[idx] != rec.Key {
+			for idx, sr := range done {
+				if idx < 0 || idx >= len(plan) || plan[idx] != sr.Key {
 					return nil, 0, fmt.Errorf("farm: checkpoint %s: record %d does not match the shard plan", path, idx)
 				}
-				results[idx] = &ShardResult{
-					Key:       rec.Key,
-					Seed:      rec.Seed,
-					Sent:      rec.Sent,
-					BootCount: rec.BootCount,
-					Summary:   rec.Summary,
-					Report:    rec.Report.restore(),
-					Crashes:   restoreCrashes(rec.Crashes),
-				}
-				resumed++
+				results[idx] = sr
 			}
+			resumed := len(done)
 			jnl, err := openJournalAppend(path, validLen)
 			return jnl, resumed, err
 		case isNotExist(err):
@@ -437,22 +428,19 @@ func runPending(cfg Config, kind apps.FleetKind, plan []ShardKey, comps map[stri
 				cfg.Status.markDone(idx, sr.Sent, dur, sr.BootSource)
 				met.done.Inc()
 				met.intents.Add(uint64(sr.Sent))
+				// Encode outside the lock: a crash-heavy record is tens of
+				// megabytes and the other workers need not wait on it.
+				var rec []byte
+				var jerr error
+				if jnl != nil {
+					rec, jerr = EncodeShardRecord(idx, sr)
+				}
 				mu.Lock()
 				results[idx] = sr
 				sent += sr.Sent
 				done++
-				var jerr error
-				if jnl != nil {
-					jerr = jnl.appendLine(journalRecord{
-						Index:     idx,
-						Key:       sr.Key,
-						Seed:      sr.Seed,
-						Sent:      sr.Sent,
-						BootCount: sr.BootCount,
-						Summary:   sr.Summary,
-						Report:    exportReport(sr.Report),
-						Crashes:   exportCrashes(sr.Crashes),
-					})
+				if jerr == nil && jnl != nil {
+					jerr = jnl.appendRaw(rec)
 				}
 				if cfg.Progress != nil {
 					cfg.Progress(done, len(plan), sr.Key, sent)

@@ -186,42 +186,6 @@ func (p *Plan) Merge(results []*ShardResult) (*Result, error) {
 	return res, nil
 }
 
-// EncodeShardRecord renders one shard result in the checkpoint journal's
-// wire form (one JSON line, no trailing newline). The same bytes serve as
-// a journal record and as a worker's result-upload body, so a record that
-// round-trips the journal and one that crossed the network restore
-// identically — the byte-identical-merge proof covers both.
-func EncodeShardRecord(idx int, sr *ShardResult) ([]byte, error) {
-	return encodeJournalLine(journalRecord{
-		Index:     idx,
-		Key:       sr.Key,
-		Seed:      sr.Seed,
-		Sent:      sr.Sent,
-		BootCount: sr.BootCount,
-		Summary:   sr.Summary,
-		Report:    exportReport(sr.Report),
-		Crashes:   exportCrashes(sr.Crashes),
-	})
-}
-
-// DecodeShardRecord parses a journal-form shard record back into the merge
-// input it encodes.
-func DecodeShardRecord(data []byte) (int, *ShardResult, error) {
-	var rec journalRecord
-	if err := decodeJournalLine(data, &rec); err != nil {
-		return 0, nil, fmt.Errorf("farm: decode shard record: %w", err)
-	}
-	return rec.Index, &ShardResult{
-		Key:       rec.Key,
-		Seed:      rec.Seed,
-		Sent:      rec.Sent,
-		BootCount: rec.BootCount,
-		Summary:   rec.Summary,
-		Report:    rec.Report.restore(),
-		Crashes:   restoreCrashes(rec.Crashes),
-	}, nil
-}
-
 // ShardJournal is the plan-scoped durable work-queue log: the same fsynced
 // JSONL checkpoint file farm.Run writes, opened against a Plan so a
 // coordinator can persist completed shards one record at a time and recover
@@ -249,16 +213,11 @@ func (p *Plan) OpenJournal(path string, resume bool) (*ShardJournal, []*ShardRes
 
 // Append durably records one completed shard (fsynced before returning).
 func (sj *ShardJournal) Append(idx int, sr *ShardResult) error {
-	return sj.j.appendLine(journalRecord{
-		Index:     idx,
-		Key:       sr.Key,
-		Seed:      sr.Seed,
-		Sent:      sr.Sent,
-		BootCount: sr.BootCount,
-		Summary:   sr.Summary,
-		Report:    exportReport(sr.Report),
-		Crashes:   exportCrashes(sr.Crashes),
-	})
+	rec, err := EncodeShardRecord(idx, sr)
+	if err != nil {
+		return err
+	}
+	return sj.j.appendRaw(rec)
 }
 
 // AppendEncoded durably records an already-encoded shard record (the bytes

@@ -9,21 +9,23 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"sync/atomic"
 	"time"
 )
 
 // Client speaks the coordinator's HTTP API — the worker loop and the farmd
 // CLI subcommands share it. Methods translate protocol status codes back
 // into the coordinator's sentinel errors (404 -> ErrNotFound, 410 ->
-// ErrLeaseGone, 409 -> ErrBadRecord/ErrNotComplete, 429 -> ErrThrottled,
-// 503 -> ErrShuttingDown), so remote callers branch on the same errors
-// in-process callers do.
+// ErrLeaseGone, 409 -> ErrBadRecord/ErrNotComplete, 413 ->
+// ErrRecordTooLarge, 429 -> ErrThrottled, 503 -> ErrShuttingDown), so
+// remote callers branch on the same errors in-process callers do.
 //
 // Transient failures retry transparently with exponential backoff and
 // jitter: transport errors (connection refused, reset, timeout), 5xx
 // responses other than 503, and 429 throttling (honoring the Retry-After
 // header). 503 is the coordinator's drain signal and is never retried —
 // a draining coordinator wants its workers to exit, not to hammer it.
+// The client counts its retries and the 429s it received (RetryStats).
 type Client struct {
 	base  string
 	hc    *http.Client
@@ -32,6 +34,9 @@ type Client struct {
 	// rand.Float64.
 	sleep  func(time.Duration)
 	jitter func() float64
+	// retries counts attempts beyond the first; throttled counts 429
+	// responses. A worker's heartbeat goroutine shares the client.
+	retries, throttled atomic.Int64
 }
 
 // RetryPolicy bounds the client's transparent retry loop.
@@ -107,6 +112,8 @@ func apiError(status int, body []byte) error {
 		base = ErrLeaseGone
 	case http.StatusConflict:
 		base = ErrBadRecord
+	case http.StatusRequestEntityTooLarge:
+		base = ErrRecordTooLarge
 	case http.StatusTooManyRequests:
 		base = ErrThrottled
 	case http.StatusServiceUnavailable:
@@ -124,16 +131,38 @@ func apiError(status int, body []byte) error {
 	return fmt.Errorf("service: http %d: %s", status, msg)
 }
 
-// do issues one request with transparent retries; out (when non-nil)
+// RetryStats returns how many requests this client has retried and how
+// many 429 throttle responses it has received.
+func (c *Client) RetryStats() (retries, throttled int) {
+	return int(c.retries.Load()), int(c.throttled.Load())
+}
+
+// do issues one JSON request with transparent retries; out (when non-nil)
 // receives the decoded 2xx body. It returns the raw body and status for
 // callers that need them.
 func (c *Client) do(method, path string, in, out any) ([]byte, int, error) {
+	var body []byte
+	if in != nil {
+		var err error
+		if body, err = json.Marshal(in); err != nil {
+			return nil, 0, err
+		}
+	}
+	return c.send(method, path, body, nil, out)
+}
+
+// send issues one request with transparent retries. A non-nil body goes
+// out as application/json with the extra headers in hdr.
+func (c *Client) send(method, path string, body []byte, hdr http.Header, out any) ([]byte, int, error) {
 	var data []byte
 	var status int
 	var retryAfter time.Duration
 	var err error
 	for attempt := 0; ; attempt++ {
-		data, status, retryAfter, err = c.once(method, path, in, out)
+		data, status, retryAfter, err = c.once(method, path, body, hdr, out)
+		if status == http.StatusTooManyRequests {
+			c.throttled.Add(1)
+		}
 		if !retryableFailure(status, err) || attempt+1 >= c.retry.MaxAttempts {
 			return data, status, err
 		}
@@ -145,6 +174,7 @@ func (c *Client) do(method, path string, in, out any) ([]byte, int, error) {
 			wait = c.retry.backoff(attempt, c.jitter)
 		}
 		c.sleep(wait)
+		c.retries.Add(1)
 	}
 }
 
@@ -170,21 +200,20 @@ func retryableFailure(status int, err error) bool {
 
 // once issues a single HTTP exchange. retryAfter carries the parsed
 // Retry-After header (seconds form) when the server sent one.
-func (c *Client) once(method, path string, in, out any) ([]byte, int, time.Duration, error) {
-	var body io.Reader
-	if in != nil {
-		data, err := json.Marshal(in)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		body = bytes.NewReader(data)
+func (c *Client) once(method, path string, body []byte, hdr http.Header, out any) ([]byte, int, time.Duration, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequest(method, c.base+path, body)
+	req, err := http.NewRequest(method, c.base+path, rd)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	if in != nil {
+	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
+	}
+	for k, v := range hdr {
+		req.Header[k] = v
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
@@ -276,9 +305,10 @@ func (c *Client) Release(leaseID string) error {
 	return err
 }
 
-// Complete uploads an encoded shard record under the lease.
+// Complete uploads an encoded shard record under the lease: the record
+// bytes are the request body, the plan fingerprint rides in a header.
 func (c *Client) Complete(leaseID, fingerprint string, record []byte) error {
-	up := resultUpload{Fingerprint: fingerprint, Record: json.RawMessage(record)}
-	_, _, err := c.do(http.MethodPost, "/api/v1/leases/"+url.PathEscape(leaseID)+"/result", up, nil)
+	hdr := http.Header{fingerprintHeader: {fingerprint}}
+	_, _, err := c.send(http.MethodPost, "/api/v1/leases/"+url.PathEscape(leaseID)+"/result", record, hdr, nil)
 	return err
 }

@@ -5,11 +5,14 @@ package service
 // counter directly, which the external protocol tests cannot.
 
 import (
+	"bytes"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/farm"
@@ -47,6 +50,9 @@ func TestClientRetriesTransient5xx(t *testing.T) {
 	// Exponential schedule with jitter pinned high: 10ms then 20ms.
 	if len(*slept) != 2 || (*slept)[0] != 10*time.Millisecond || (*slept)[1] != 20*time.Millisecond {
 		t.Fatalf("backoffs = %v, want [10ms 20ms]", *slept)
+	}
+	if retries, throttled := c.RetryStats(); retries != 2 || throttled != 0 {
+		t.Fatalf("RetryStats = %d retries, %d throttled; want 2, 0", retries, throttled)
 	}
 }
 
@@ -102,6 +108,9 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 	}
 	if len(*slept) != 1 || (*slept)[0] != 2*time.Second {
 		t.Fatalf("backoffs = %v, want the server's 2s Retry-After hint", *slept)
+	}
+	if retries, throttled := c.RetryStats(); retries != 1 || throttled != 1 {
+		t.Fatalf("RetryStats = %d retries, %d throttled; want 1, 1", retries, throttled)
 	}
 }
 
@@ -179,6 +188,9 @@ func TestUploadBackpressure(t *testing.T) {
 	if len(realSleep) != 1 || realSleep[0] != time.Second {
 		t.Fatalf("backoffs = %v, want the 1s Retry-After hint", realSleep)
 	}
+	if retries, throttled := client.RetryStats(); retries != 1 || throttled != 1 {
+		t.Fatalf("RetryStats = %d retries, %d throttled; want 1, 1", retries, throttled)
+	}
 	snap := coord.Telemetry().Snapshot()
 	if snap.Counters["service_uploads_throttled_total"] != 1 {
 		t.Fatalf("throttle counter = %d, want 1", snap.Counters["service_uploads_throttled_total"])
@@ -191,5 +203,70 @@ func TestUploadBackpressure(t *testing.T) {
 	}
 	if info.Done != 1 {
 		t.Fatalf("done = %d, want 1", info.Done)
+	}
+}
+
+// TestResultUploadCap checks the 256 MiB upload cap: a body declared
+// larger answers 413 without being read and leaves the lease alone, a
+// chunked body under the cap is accepted, and the client maps 413 to
+// ErrRecordTooLarge without retrying it.
+func TestResultUploadCap(t *testing.T) {
+	coord, err := NewCoordinator(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Shutdown()
+	if _, err := coord.Submit(CampaignSpec{Seed: 1, Campaigns: "A", Packages: []string{"com.heartwatch.wear"}, Quick: 10}); err != nil {
+		t.Fatal(err)
+	}
+	grant, err := coord.Lease("w1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := grant.Spec.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sr, err := plan.ExecuteShard(grant.Shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	record, err := farm.EncodeShardRecord(grant.Shard, sr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := Handler(coord)
+	upload := func(body io.Reader, length int64) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, "/api/v1/leases/"+grant.LeaseID+"/result", body)
+		req.ContentLength = length
+		req.Header.Set(fingerprintHeader, grant.Fingerprint)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+
+	// The declared length alone condemns the body: a reader that fails on
+	// first use proves it is never read.
+	if rec := upload(iotest.ErrReader(errors.New("body was read")), maxResultBytes+1); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized upload: %d %s, want 413", rec.Code, rec.Body)
+	}
+	// The lease survived: the real record, sent chunked (unknown length),
+	// completes it.
+	if rec := upload(bytes.NewReader(record), -1); rec.Code != http.StatusNoContent {
+		t.Fatalf("chunked upload: %d %s, want 204", rec.Code, rec.Body)
+	}
+
+	var calls atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		writeError(w, http.StatusRequestEntityTooLarge, ErrRecordTooLarge)
+	}))
+	defer ts.Close()
+	c, slept := stubbedClient(ts.URL, RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond, MaxDelay: time.Second})
+	if err := c.Complete("l1", grant.Fingerprint, record); !errors.Is(err, ErrRecordTooLarge) {
+		t.Fatalf("Complete = %v, want ErrRecordTooLarge", err)
+	}
+	if calls.Load() != 1 || len(*slept) != 0 {
+		t.Fatalf("413 was retried: %d calls, %d sleeps", calls.Load(), len(*slept))
 	}
 }

@@ -38,6 +38,10 @@ var (
 	// HTTP layer answers 429 with a Retry-After hint; the client's retry
 	// loop honors it transparently.
 	ErrThrottled = errors.New("service: upload queue is full, retry later")
+	// ErrRecordTooLarge means a result upload exceeded maxResultBytes
+	// (HTTP 413). Re-executing the shard would produce the same record, so
+	// the client does not retry it.
+	ErrRecordTooLarge = errors.New("service: result upload is too large")
 )
 
 // Options configures a Coordinator.
@@ -735,10 +739,7 @@ func (c *Coordinator) Release(leaseID string) error {
 	if l == nil {
 		return ErrLeaseGone
 	}
-	delete(c.leases, leaseID)
-	delete(l.camp.leases, l.shard)
-	l.camp.states[l.shard] = shardPending
-	l.camp.board.MarkPending(l.shard)
+	c.requeueLocked(leaseID, l)
 	c.met.leasesFreed.Inc()
 	return nil
 }
@@ -768,15 +769,22 @@ func (c *Coordinator) Complete(leaseID string, fingerprint string, record []byte
 		c.mu.Unlock()
 	}()
 
-	idx, sr, err := farm.DecodeShardRecord(record)
-	if err != nil {
-		c.met.resultsRej.Inc()
-		return fmt.Errorf("%w: %v", ErrBadRecord, err)
-	}
+	idx, sr, decErr := farm.DecodeShardRecord(record)
 
 	c.mu.Lock()
 	c.reapLocked(now)
 	l := c.leases[leaseID]
+	if decErr != nil {
+		// An undecodable upload voids its lease like a contradicting one:
+		// the shard goes straight back to the queue instead of waiting out
+		// the TTL.
+		if l != nil {
+			c.requeueLocked(leaseID, l)
+		}
+		c.met.resultsRej.Inc()
+		c.mu.Unlock()
+		return fmt.Errorf("%w: %v", ErrBadRecord, decErr)
+	}
 	if l == nil {
 		c.met.resultsDup.Inc()
 		c.mu.Unlock()
@@ -788,10 +796,7 @@ func (c *Coordinator) Complete(leaseID string, fingerprint string, record []byte
 	if fingerprint != wantFP || idx != l.shard || sr.Key != camp.plan.Shards()[idx] {
 		// The upload contradicts the lease: refuse it and re-queue the
 		// shard — a confused worker must not poison the merge.
-		delete(c.leases, leaseID)
-		delete(camp.leases, l.shard)
-		camp.states[l.shard] = shardPending
-		camp.board.MarkPending(l.shard)
+		c.requeueLocked(leaseID, l)
 		c.met.resultsRej.Inc()
 		c.mu.Unlock()
 		return fmt.Errorf("%w: fingerprint %s / shard %d does not match lease (want %s / %d)",
@@ -828,6 +833,16 @@ func (c *Coordinator) Complete(leaseID string, fingerprint string, record []byte
 		go c.finalize(camp)
 	}
 	return nil
+}
+
+// requeueLocked drops a lease and returns its shard to the queue. Callers
+// hold c.mu.
+func (c *Coordinator) requeueLocked(leaseID string, l *lease) {
+	camp := l.camp
+	delete(c.leases, leaseID)
+	delete(camp.leases, l.shard)
+	camp.states[l.shard] = shardPending
+	camp.board.MarkPending(l.shard)
 }
 
 // finalize merges a finished campaign in canonical plan order, runs triage,
@@ -924,11 +939,8 @@ func (c *Coordinator) reapLocked(now time.Time) {
 		if !now.After(l.expires) {
 			continue
 		}
-		delete(c.leases, id)
-		delete(l.camp.leases, l.shard)
-		l.camp.states[l.shard] = shardPending
+		c.requeueLocked(id, l)
 		l.camp.reclaimed[l.shard] = true
-		l.camp.board.MarkPending(l.shard)
 		c.met.leasesExpired.Inc()
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -26,7 +27,12 @@ import (
 //	POST /api/v1/leases                   request work {worker}       -> 200 LeaseGrant | 204 (no work) | 503 (draining)
 //	POST /api/v1/leases/{id}/heartbeat    extend lease                -> 200 {expires} | 410 (reclaimed)
 //	POST /api/v1/leases/{id}/release      return shard to queue       -> 204 | 410
-//	POST /api/v1/leases/{id}/result       upload shard record         -> 204 | 409 (mismatch) | 410 | 429 (+Retry-After)
+//	POST /api/v1/leases/{id}/result       upload shard record         -> 204 | 409 (mismatch, undecodable) | 410 | 413 | 429 (+Retry-After)
+//
+// A result upload's body is the EncodeShardRecord bytes themselves
+// (application/json) and its plan fingerprint travels in the
+// X-Plan-Fingerprint header, so the coordinator journals exactly what the
+// worker encoded without unwrapping an envelope.
 //
 // The service routes compose with the telemetry server: Routes returns
 // telemetry.Route entries for telemetry.Serve, so farmd's one listener
@@ -37,14 +43,14 @@ type leaseRequest struct {
 	Worker string `json:"worker"`
 }
 
-// resultUpload is the body of POST /api/v1/leases/{id}/result. Record holds
-// the EncodeShardRecord bytes verbatim (json.RawMessage keeps them
-// byte-exact through the envelope), so the coordinator journals exactly
-// what the worker encoded.
-type resultUpload struct {
-	Fingerprint string          `json:"fingerprint"`
-	Record      json.RawMessage `json:"record"`
-}
+// fingerprintHeader carries a result upload's plan fingerprint.
+const fingerprintHeader = "X-Plan-Fingerprint"
+
+// maxResultBytes caps a result upload's body. The largest paper-scale
+// records are ~35 MB (phone and wear campaign A at seed 1); the cap leaves
+// room for several times that while keeping a runaway or hostile upload
+// from exhausting the coordinator's memory.
+const maxResultBytes = 256 << 20
 
 // heartbeatResponse answers a successful heartbeat.
 type heartbeatResponse struct {
@@ -264,14 +270,37 @@ func (c *Coordinator) handleRelease(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
-	var up resultUpload
-	if err := json.NewDecoder(r.Body).Decode(&up); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("service: parse result upload: %w", err))
+	record, err := readResult(w, r)
+	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("%w: over %d bytes", ErrRecordTooLarge, maxResultBytes))
+			return
+		}
+		writeError(w, http.StatusBadRequest, fmt.Errorf("service: read result upload: %w", err))
 		return
 	}
-	if err := c.Complete(r.PathValue("id"), up.Fingerprint, up.Record); err != nil {
+	if err := c.Complete(r.PathValue("id"), r.Header.Get(fingerprintHeader), record); err != nil {
 		writeServiceError(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// readResult reads an upload body of at most maxResultBytes. A declared
+// length is refused before reading and otherwise read into one exactly
+// sized buffer; a chunked body is read through the same cap.
+func readResult(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	if r.ContentLength > maxResultBytes {
+		return nil, &http.MaxBytesError{Limit: maxResultBytes}
+	}
+	body := http.MaxBytesReader(w, r.Body, maxResultBytes)
+	if r.ContentLength < 0 {
+		return io.ReadAll(body)
+	}
+	buf := make([]byte, r.ContentLength)
+	if _, err := io.ReadFull(body, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }

@@ -91,6 +91,13 @@ func TestWorkerSurvivesFlakyCoordinator(t *testing.T) {
 	if err != nil {
 		t.Fatalf("export: %v", err)
 	}
+	// Every injected 500 cost exactly one retry, by the worker or by the
+	// CLI client, and none was a throttle.
+	cliRetries, cliThrottled := client.RetryStats()
+	if int64(stats.Retries+cliRetries) != injected.Load() || stats.Throttled != 0 || cliThrottled != 0 {
+		t.Errorf("retries: worker %d + client %d, want %d injected; throttled %d/%d, want 0",
+			stats.Retries, cliRetries, injected.Load(), stats.Throttled, cliThrottled)
+	}
 	want, err := serialBaseline()
 	if err != nil {
 		t.Fatalf("serial baseline: %v", err)

@@ -758,3 +758,94 @@ func TestHTTPProtocolSurface(t *testing.T) {
 		t.Errorf("campaign metrics: code=%d body=%q", mresp.StatusCode, mbody)
 	}
 }
+
+// TestUndecodableUploadVoidsLease sends two uploads the coordinator cannot
+// decode — the former {"fingerprint":…,"record":…} envelope and a
+// truncated record — and checks that each answers 409, voids its lease and
+// puts the shard straight back on the queue (the TTL here is an hour, so
+// only voiding can explain the re-grant), and that the campaign still
+// merges to the single-process export.
+func TestUndecodableUploadVoidsLease(t *testing.T) {
+	coord := newCoordinator(t, service.Options{LeaseTTL: time.Hour})
+	ts := httptest.NewServer(service.Handler(coord))
+	defer ts.Close()
+	client := service.NewClient(ts.URL, nil)
+	info, err := client.Submit(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := client.Lease("w1")
+	if err != nil || first == nil {
+		t.Fatalf("lease: %v %v", first, err)
+	}
+	record := executeShard(t, *first)
+
+	post := func(leaseID string, body []byte, fingerprint string) int {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/api/v1/leases/"+leaseID+"/result", strings.NewReader(string(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		if fingerprint != "" {
+			req.Header.Set("X-Plan-Fingerprint", fingerprint)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	envelope, err := json.Marshal(map[string]any{"fingerprint": first.Fingerprint, "record": json.RawMessage(record)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []struct {
+		name        string
+		body        []byte
+		fingerprint string
+	}{
+		{"envelope", envelope, ""},
+		{"truncated record", record[:len(record)/2], first.Fingerprint},
+	}
+	lease := first
+	for _, b := range bad {
+		if code := post(lease.LeaseID, b.body, b.fingerprint); code != http.StatusConflict {
+			t.Fatalf("%s: status %d, want 409", b.name, code)
+		}
+		if err := client.Complete(lease.LeaseID, lease.Fingerprint, record); !errors.Is(err, service.ErrLeaseGone) {
+			t.Fatalf("%s: upload under the voided lease = %v, want ErrLeaseGone", b.name, err)
+		}
+		next, err := client.Lease("w2")
+		if err != nil || next == nil {
+			t.Fatalf("%s: re-lease: %v %v", b.name, next, err)
+		}
+		if next.Shard != first.Shard || next.LeaseID == lease.LeaseID {
+			t.Fatalf("%s: re-granted shard %d (lease %s), want shard %d under a new lease", b.name, next.Shard, next.LeaseID, first.Shard)
+		}
+		lease = next
+	}
+	if got := counterValue(coord.Telemetry(), "service_results_rejected_total"); got != 2 {
+		t.Errorf("rejected counter = %d, want 2", got)
+	}
+	if err := client.Complete(lease.LeaseID, lease.Fingerprint, record); err != nil {
+		t.Fatalf("valid upload: %v", err)
+	}
+
+	if _, err := service.RunWorker(context.Background(), service.WorkerOptions{Coordinator: ts.URL, Name: "w3", ExitWhenIdle: true}); err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	waitForState(t, func() (service.CampaignInfo, error) { return client.Campaign(info.ID) }, service.CampaignComplete)
+	got, err := client.Export(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := serialBaseline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Error("export after refused uploads differs from the single-process run")
+	}
+}

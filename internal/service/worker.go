@@ -43,6 +43,11 @@ type WorkerStats struct {
 	Lost int
 	// Intents totals intents sent across accepted shards.
 	Intents int
+	// Retries counts requests the worker's client retried (transport
+	// errors, transient 5xx, 429); Throttled counts the 429 backpressure
+	// answers among them.
+	Retries   int
+	Throttled int
 }
 
 // RunWorker executes the worker side of the lease protocol until ctx is
@@ -61,8 +66,7 @@ type WorkerStats struct {
 // are released back to the queue, and the loop returns. A worker killed
 // outright instead simply stops heartbeating and the reaper re-queues its
 // shard — drain is the polite fast path, expiry the crash-safe slow path.
-func RunWorker(ctx context.Context, opts WorkerOptions) (WorkerStats, error) {
-	var stats WorkerStats
+func RunWorker(ctx context.Context, opts WorkerOptions) (stats WorkerStats, err error) {
 	if opts.Poll <= 0 {
 		opts.Poll = 500 * time.Millisecond
 	}
@@ -77,6 +81,11 @@ func RunWorker(ctx context.Context, opts WorkerOptions) (WorkerStats, error) {
 	if client == nil {
 		client = NewClient(opts.Coordinator, nil)
 	}
+	retries0, throttled0 := client.RetryStats()
+	defer func() {
+		retries, throttled := client.RetryStats()
+		stats.Retries, stats.Throttled = retries-retries0, throttled-throttled0
+	}()
 	// One persistent executor per campaign fingerprint: the worker executes
 	// leased shards one at a time, so each campaign's shards share a locally
 	// re-planned fleet AND a hot device that is reset in place between

@@ -3,12 +3,13 @@
 # and the persistent-mode executor.
 #
 # Runs the hot-path benchmark suite plus the farm boot-strategy triple
-# (persist/snapshot/fresh-boot) and the device-level shard-boot and
-# unit-reset microbenchmark pairs, emits BENCH_10.json (machine-readable
-# current numbers next to the frozen pre-optimization baselines), and fails
-# if any gated benchmark regresses past its ceiling, the farm's snapshot
-# speedup drops under its 2x floor, or the persistent executor's per-unit
-# reset-over-clone speedup drops under its 3x floor. The ceilings are
+# (persist/snapshot/fresh-boot), the shard-record codec pair, and the
+# device-level shard-boot and unit-reset microbenchmark pairs, emits
+# BENCH_10.json (machine-readable current numbers next to the frozen
+# pre-optimization baselines), and fails if any gated benchmark regresses
+# past its ceiling, the farm's snapshot speedup drops under its 2x floor,
+# or the persistent executor's per-unit reset-over-clone speedup drops
+# under its 3x floor. The ceilings are
 # set from the perf passes that introduced them, with ~40-70% headroom for
 # machine-to-machine variance; they exist to catch order-of-magnitude
 # regressions (a reintroduced per-intent allocation, an unbatched counter,
@@ -49,6 +50,10 @@ done
 # the shard-boot pair isolates the device-level clone cost and the unit
 # pair feeds the per-unit persist speedup floor.
 go test -run '^$' -bench 'Farm8Persist|Farm8Snapshot|Farm8FreshBoot' \
+    -benchmem -benchtime=1s -count=3 ./internal/farm | tee -a "$raw"
+# The shard-record codec pair: every durable-path record (worker upload,
+# coordinator journal, checkpoint append, resume) goes through it.
+go test -run '^$' -bench 'ShardRecordEncode|ShardRecordDecode' \
     -benchmem -benchtime=1s -count=3 ./internal/farm | tee -a "$raw"
 go test -run '^$' -bench 'ShardBootFresh|ShardBootClone|UnitReset|UnitClone' \
     -benchmem -benchtime=1s -count=3 ./internal/wearos | tee -a "$raw"

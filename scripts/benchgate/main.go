@@ -82,6 +82,14 @@ var gates = map[string]*result{
 	// decode/re-encode on the upload path.
 	"BenchmarkQueueLeaseCycle":      {BaselineNs: 1220, BaselineAllocs: 6, CeilingNs: 6.0e3, CeilingAllocs: 20},
 	"BenchmarkQueueResultRoundTrip": {BaselineNs: 267550, BaselineAllocs: 155, CeilingNs: 1.5e6, CeilingAllocs: 500},
+
+	// Shard-record codec gates. Baselines are the encoding/json codec the
+	// reflection-free one replaced, on the same crash-heavy 4.4 MB wear
+	// record (min of 3); ceilings are ~1.5x the reflection-free numbers
+	// (encode ~7.2 ms / 7276 allocs, most of them one timestamp text per
+	// distinct clock stamp; decode ~13.3 ms / 5986 allocs).
+	"BenchmarkShardRecordEncode": {BaselineNs: 4.48e7, BaselineAllocs: 61396, CeilingNs: 1.1e7, CeilingAllocs: 11000},
+	"BenchmarkShardRecordDecode": {BaselineNs: 9.05e7, BaselineAllocs: 144315, CeilingNs: 2.0e7, CeilingAllocs: 9000},
 }
 
 // dispatchDeltaCeiling bounds DispatchNoEffect/DispatchNoTelemetry - 1.

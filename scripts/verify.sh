@@ -29,6 +29,11 @@ go test -run '^$' -bench Dispatch -benchtime 100x .
 # exercises the worker pool, journal appends, and merge under -race.
 go test -race ./internal/farm/...
 
+# Fuzz the one shard-record decoder (uploads, journal loads, resume) for a
+# short budget beyond its seed corpus: it must never panic, and whatever it
+# accepts encoding/json must accept and decode to the same record.
+go test -run '^$' -fuzz FuzzDecodeShardRecord -fuzztime 10s ./internal/farm
+
 # End-to-end sharded-campaign smoke: a reduced fleet slice through cmd/qgj
 # with workers + checkpoint, then killed (journal truncated after two shard
 # records) and resumed. Asserts the farm CLI path (flags, journaling,
